@@ -1,8 +1,8 @@
 """Low-rank matrix completion with regularization of the unobserved entries.
 
 The package provides nuclear norm minimization and three structured
-variants (entrywise L1 on the unobserved entries, unsquared-Frobenius noisy
-data fits, and a restricted-support low-rank + sparse decomposition), all
+variants (entrywise L1 on the unobserved entries, quadratic noisy data
+fits, and a restricted-support low-rank + sparse decomposition), all
 solved by ADMM with closed-form proximal steps, plus seeded synthetic data
 generation and a benchmark harness that sweeps zero/nonzero sampling rates
 and reports error ratios against the plain nuclear-norm baseline.

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .harness import run_grid, run_real_matrix
 from .solvers import (
+    CONVERGED,
     FORMULATIONS,
     NUMERICAL_FAILURE,
     MAX_ITERS,
@@ -222,6 +223,10 @@ def cmd_benchmark(args) -> int:
         os.path.join(args.outdir, "heatmap_alpha.csv"),
         spec.zero_rates, spec.nonzero_rates, result.mean_alpha,
     )
+    n_nonconverged = sum(
+        1 for r in result.records
+        if r.error is None and (r.status_baseline, r.status_reg) != (CONVERGED, CONVERGED)
+    )
     manifest = {
         "kind": config.kind,
         "config_file": os.path.abspath(args.config),
@@ -234,6 +239,7 @@ def cmd_benchmark(args) -> int:
         "row_subsample": getattr(spec, "row_subsample", None),
         "records": len(result.records),
         "failed_trials": int(result.failures.sum()),
+        "nonconverged_trials": n_nonconverged,
         "both_exact_trials": int(result.both_exact.sum()),
         "wall_time_s": wall,
         "version": __version__,
@@ -245,6 +251,9 @@ def cmd_benchmark(args) -> int:
     n_failed = int(result.failures.sum())
     if n_failed:
         print(f"warning: {n_failed} trial(s) failed; see results.csv", file=sys.stderr)
+    if n_nonconverged:
+        print(f"warning: {n_nonconverged} trial(s) did not converge; see results.csv",
+              file=sys.stderr)
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ are redrawn with an incremented attempt counter, at most 8 times.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -346,6 +347,35 @@ def _cell_worker(args):
     return run_cell(grid, cell, trial, debug=debug)
 
 
+def _run_tasks(tasks, worker, payloads, workers, strict):
+    """Run ``worker(payload)`` per (cell, trial) task and keep task order.
+
+    With ``strict=False`` any exception a task raises, including a broken
+    worker pool, becomes that task's failure record, and every finished
+    record is kept.
+    """
+    records = []
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        if pool is not None:
+            futures = [pool.submit(worker, p) for p in payloads]
+            outcomes = (fut.result for fut in futures)
+        else:
+            outcomes = (functools.partial(worker, p) for p in payloads)
+        for (cell, trial), outcome in zip(tasks, outcomes):
+            try:
+                records.append(outcome())
+            except Exception as exc:
+                if strict:
+                    raise
+                log.debug("cell %s trial %d failed", cell, trial, exc_info=True)
+                records.append(_failure_record(cell, trial, str(exc)))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return records
+
+
 def run_grid(
     grid: ExperimentGrid,
     workers: int = 1,
@@ -356,31 +386,12 @@ def run_grid(
 
     Output is a pure function of ``grid`` alone: trials may execute in
     parallel (``workers`` processes) but records are reduced in a fixed
-    cell-major order.  With ``strict=False`` hard cell errors become failure
-    records instead of raising.
+    cell-major order.  With ``strict=False`` a trial that raises becomes a
+    failure record instead of aborting the sweep.
     """
     tasks = _grid_tasks(grid)
-    records = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_cell_worker, (grid, cell, trial, debug))
-                       for cell, trial in tasks]
-            for (cell, trial), fut in zip(tasks, futures):
-                try:
-                    records.append(fut.result())
-                except CellError as exc:
-                    if strict:
-                        raise
-                    records.append(_failure_record(cell, trial, str(exc)))
-    else:
-        for cell, trial in tasks:
-            try:
-                records.append(run_cell(grid, cell, trial, debug=debug))
-            except CellError as exc:
-                if strict:
-                    raise
-                records.append(_failure_record(cell, trial, str(exc)))
-    return _aggregate(grid, records)
+    payloads = [(grid, cell, trial, debug) for cell, trial in tasks]
+    return _aggregate(grid, _run_tasks(tasks, _cell_worker, payloads, workers, strict))
 
 
 def _real_trial(truth, sweep, cell, trial_index, debug):
@@ -449,29 +460,8 @@ def run_real_matrix(
         else:
             truths[trial] = truth_full
     tasks = _grid_tasks(sweep)
-    records = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_real_worker, (truths[trial], sweep, cell, trial, debug))
-                for cell, trial in tasks
-            ]
-            for (cell, trial), fut in zip(tasks, futures):
-                try:
-                    records.append(fut.result())
-                except CellError as exc:
-                    if strict:
-                        raise
-                    records.append(_failure_record(cell, trial, str(exc)))
-    else:
-        for cell, trial in tasks:
-            try:
-                records.append(_real_trial(truths[trial], sweep, cell, trial, debug))
-            except CellError as exc:
-                if strict:
-                    raise
-                records.append(_failure_record(cell, trial, str(exc)))
-    return _aggregate(sweep, records)
+    payloads = [(truths[trial], sweep, cell, trial, debug) for cell, trial in tasks]
+    return _aggregate(sweep, _run_tasks(tasks, _real_worker, payloads, workers, strict))
 
 
 def _real_worker(args):

@@ -13,13 +13,31 @@ proximal steps (no inner iterative subproblem anywhere):
 
 where O is the observed index set, Oc its complement, ``a`` the weight on
 the unobserved-entry regularizer and ``r`` the nuclear-norm weight of the
-noisy data-fit forms.  The noisy forms use the quadratic data fit because
-the standard weight r = (sqrt(n1)+sqrt(n2))*sqrt(|O|/(n1*n2))*sigma is an
-operator-norm estimate of the masked noise, which is exactly the quadratic
-form's shrink-to-zero threshold: with the unsquared fit that weight
-over-shrinks everything at realistic noise levels.  Solvers are
-deterministic (no randomness anywhere) and single-threaded; distinct calls
-may run concurrently.
+noisy data-fit forms.
+
+The four ``nnm-*`` forms share one engine, a scaled two-block ADMM on the
+split A = Z (Boyd et al. 2011, sections 3 and 7) with residual-balanced
+penalty.  Each form only supplies its pair of proxes, one per block:
+
+==================  ====================================  ======================
+formulation         A-block prox                          Z-block prox
+==================  ====================================  ======================
+``nnm-exact``       svt                                   observation overwrite
+``nnm-reg``         svt                                   soft threshold on Oc,
+                                                          observation overwrite
+``nnm-noisy``       quadratic-fit blend on O              svt with weight r
+``nnm-noisy-reg``   blend on O, soft threshold on Oc      svt with weight r
+==================  ====================================  ======================
+
+The entrywise terms of each block act on disjoint supports, so every joint
+prox is closed form.  ``rpca-restricted`` keeps its own two-block loop over
+(A, S) with constraint A + S = P_O(M).  The noisy forms use the quadratic
+data fit because the standard weight
+r = (sqrt(n1)+sqrt(n2))*sqrt(|O|/(n1*n2))*sigma is an operator-norm estimate
+of the masked noise, which is exactly the quadratic form's shrink-to-zero
+threshold: with the unsquared fit that weight over-shrinks everything at
+realistic noise levels.  Solvers are deterministic (no randomness anywhere)
+and single-threaded; distinct calls may run concurrently.
 
 :func:`oracle_solve` is an independent brute-force check for tiny
 instances: dense grid search when at most two entries are free, otherwise a
@@ -121,15 +139,12 @@ class SolverConfig:
     Tolerances are absolute on the Frobenius norms of the primal and dual
     residuals, scaled by sqrt(n1*n2).  The penalty is adapted by
     residual balancing (x2 / /2 when one residual exceeds 10x the other).
-    ``deterministic`` documents the contract that a solve draws no
-    randomness; it is asserted by the replay tests, not consumed here.
     """
 
     max_iters: int = 5000
     primal_tol: float = 1e-6
     dual_tol: float = 1e-6
     admm_penalty: float = 1.0
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -214,13 +229,13 @@ def _tolerances(cfg: SolverConfig, shape) -> tuple[float, float]:
     return cfg.primal_tol * scale, cfg.dual_tol * scale
 
 
-def _balance_penalty(pen, duals, rnorm, snorm, ratio=10.0, factor=2.0):
-    """Residual balancing; rescales the scaled duals so y = pen*u is kept."""
+def _balance_penalty(pen, u, rnorm, snorm, ratio=10.0, factor=2.0):
+    """Residual balancing; rescales the scaled dual so y = pen*u is kept."""
     if rnorm > ratio * snorm:
-        return pen * factor, [u / factor for u in duals]
+        return pen * factor, u / factor
     if snorm > ratio * rnorm:
-        return pen / factor, [u * factor for u in duals]
-    return pen, duals
+        return pen / factor, u * factor
+    return pen, u
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -254,22 +269,52 @@ def _result(problem, completed, status, iterations, rnorm, snorm, rhist, dhist, 
     )
 
 
-def _solve_constrained(problem: CompletionProblem, cfg: SolverConfig) -> SolveResult:
-    """Shared engine for nnm-exact (alpha = 0) and nnm-reg (alpha > 0).
+def _prox_pair(problem: CompletionProblem):
+    """The (A-block, Z-block) prox pair of one nnm-* formulation.
 
-    Splitting A = Z with f(A) = ||A||_* (prox: svt) and g(Z) = the
-    observation indicator plus, for nnm-reg, the L1 term on the unobserved
-    entries (prox: soft threshold on the complement composed with the exact
-    observation overwrite; the supports are disjoint so the two commute).
-    The returned iterate is the Z block, which matches the observations
-    bit-for-bit.
+    Each step maps (point, penalty) to the prox with step 1/penalty; the
+    pairs are tabulated in the module docstring.
     """
-    mask = problem.mask
-    alpha = problem.alpha if problem.formulation == "nnm-reg" else 0.0
+    f = problem.formulation
+    m, mask, alpha, rho = problem.observed_values, problem.mask, problem.alpha, problem.rho
     unobserved = mask.complement()
-    y = project(problem.observed_values, mask)
-    z = y.copy()
-    u = np.zeros_like(y)
+    if f in ("nnm-exact", "nnm-reg"):
+        y = project(m, mask)
+        reg = f == "nnm-reg"
+
+        def x_step(v, pen):
+            return svt(v, 1.0 / pen)
+
+        def z_step(w, pen):
+            if reg:
+                w = soft_threshold(w, alpha / pen, unobserved)
+            return enforce_observed(w, y, mask)
+
+        return x_step, z_step
+    reg = f == "nnm-noisy-reg"
+
+    def x_step(v, pen):
+        a = prox_obs_fit_quad(v, m, mask, 1.0 / pen)
+        if reg:
+            a = soft_threshold(a, alpha / pen, unobserved)
+        return a
+
+    def z_step(w, pen):
+        return svt(w, rho / pen)
+
+    return x_step, z_step
+
+
+def _solve_two_block(problem: CompletionProblem, cfg: SolverConfig) -> SolveResult:
+    """Scaled two-block ADMM on A = Z for the four nnm-* formulations.
+
+    Starts from Z = P_O(M), U = 0 and returns the Z block: for the
+    constrained forms it matches the observations bit-for-bit, for the noisy
+    forms its shrunk spectrum gives a clean rank estimate.
+    """
+    x_step, z_step = _prox_pair(problem)
+    z = project(problem.observed_values, problem.mask)
+    u = np.zeros_like(z)
     pen = cfg.admm_penalty
     ptol, dtol = _tolerances(cfg, problem.shape)
     rhist, dhist = [], []
@@ -278,11 +323,8 @@ def _solve_constrained(problem: CompletionProblem, cfg: SolverConfig) -> SolveRe
     rnorm = snorm = float("inf")
     try:
         for it in range(1, cfg.max_iters + 1):
-            a = svt(z - u, 1.0 / pen)
-            w = a + u
-            if alpha > 0.0:
-                w = soft_threshold(w, alpha / pen, unobserved)
-            z_new = enforce_observed(w, y, mask)
+            a = x_step(z - u, pen)
+            z_new = z_step(a + u, pen)
             r = a - z_new
             snorm = pen * frobenius_norm(z - z_new)
             rnorm = frobenius_norm(r)
@@ -293,113 +335,39 @@ def _solve_constrained(problem: CompletionProblem, cfg: SolverConfig) -> SolveRe
             if rnorm <= ptol and snorm <= dtol:
                 status = CONVERGED
                 break
-            pen, (u,) = _balance_penalty(pen, (u,), rnorm, snorm)
+            pen, u = _balance_penalty(pen, u, rnorm, snorm)
     except NumericalError:
         status = NUMERICAL_FAILURE
     return _result(problem, z, status, it, rnorm, snorm, rhist, dhist)
+
+
+def _check_formulation(problem: CompletionProblem, expected: str) -> None:
+    if problem.formulation != expected:
+        raise ValueError(f"expected formulation {expected}, got {problem.formulation!r}")
 
 
 def solve_nnm_exact(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveResult:
     """Minimize the nuclear norm subject to exact agreement on the mask."""
-    cfg = cfg or SolverConfig()
-    if problem.formulation != "nnm-exact":
-        raise ValueError(f"expected formulation nnm-exact, got {problem.formulation!r}")
-    return _solve_constrained(problem, cfg)
+    _check_formulation(problem, "nnm-exact")
+    return _solve_two_block(problem, cfg or SolverConfig())
 
 
 def solve_nnm_reg(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveResult:
     """Nuclear norm plus an L1 penalty on the unobserved entries, exact on the mask."""
-    cfg = cfg or SolverConfig()
-    if problem.formulation != "nnm-reg":
-        raise ValueError(f"expected formulation nnm-reg, got {problem.formulation!r}")
-    return _solve_constrained(problem, cfg)
+    _check_formulation(problem, "nnm-reg")
+    return _solve_two_block(problem, cfg or SolverConfig())
 
 
 def solve_nnm_noisy(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveResult:
-    """Quadratic data fit plus a weighted nuclear norm, no hard constraint.
-
-    Splitting A = Z with f(A) = 0.5*||P_O(M-A)||_F^2 (prox: entrywise blend
-    toward the observations) and g(Z) = rho*||Z||_* (prox: svt).  Returns
-    the Z block, whose shrunk spectrum gives a clean rank estimate.
-    """
-    cfg = cfg or SolverConfig()
-    if problem.formulation != "nnm-noisy":
-        raise ValueError(f"expected formulation nnm-noisy, got {problem.formulation!r}")
-    mask = problem.mask
-    y = project(problem.observed_values, mask)
-    z = y.copy()
-    u = np.zeros_like(y)
-    pen = cfg.admm_penalty
-    ptol, dtol = _tolerances(cfg, problem.shape)
-    rhist, dhist = [], []
-    status = MAX_ITERS
-    it = 0
-    rnorm = snorm = float("inf")
-    try:
-        for it in range(1, cfg.max_iters + 1):
-            a = prox_obs_fit_quad(z - u, problem.observed_values, mask, 1.0 / pen)
-            z_new = svt(a + u, problem.rho / pen)
-            r = a - z_new
-            snorm = pen * frobenius_norm(z - z_new)
-            rnorm = frobenius_norm(r)
-            u = u + r
-            z = z_new
-            rhist.append(rnorm)
-            dhist.append(snorm)
-            if rnorm <= ptol and snorm <= dtol:
-                status = CONVERGED
-                break
-            pen, (u,) = _balance_penalty(pen, (u,), rnorm, snorm)
-    except NumericalError:
-        status = NUMERICAL_FAILURE
-    return _result(problem, z, status, it, rnorm, snorm, rhist, dhist)
+    """Quadratic data fit plus a weighted nuclear norm, no hard constraint."""
+    _check_formulation(problem, "nnm-noisy")
+    return _solve_two_block(problem, cfg or SolverConfig())
 
 
 def solve_nnm_noisy_reg(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveResult:
-    """Quadratic data fit, weighted nuclear norm, and L1 on the unobserved entries.
-
-    Consensus ADMM over the three prox-able terms: each local variable takes
-    one prox step against the consensus iterate, which is then re-averaged.
-    """
-    cfg = cfg or SolverConfig()
-    if problem.formulation != "nnm-noisy-reg":
-        raise ValueError(
-            f"expected formulation nnm-noisy-reg, got {problem.formulation!r}"
-        )
-    mask = problem.mask
-    unobserved = mask.complement()
-    y = project(problem.observed_values, mask)
-    z = y.copy()
-    duals = [np.zeros_like(y) for _ in range(3)]
-    pen = cfg.admm_penalty
-    ptol, dtol = _tolerances(cfg, problem.shape)
-    rhist, dhist = [], []
-    status = MAX_ITERS
-    it = 0
-    rnorm = snorm = float("inf")
-    try:
-        for it in range(1, cfg.max_iters + 1):
-            x_fit = prox_obs_fit_quad(z - duals[0], problem.observed_values, mask, 1.0 / pen)
-            x_nuc = svt(z - duals[1], problem.rho / pen)
-            x_l1 = soft_threshold(z - duals[2], problem.alpha / pen, unobserved)
-            locals_ = (x_fit, x_nuc, x_l1)
-            z_new = (
-                (x_fit + duals[0]) + (x_nuc + duals[1]) + (x_l1 + duals[2])
-            ) / 3.0
-            residuals = [x - z_new for x in locals_]
-            rnorm = float(np.sqrt(sum(frobenius_norm(r) ** 2 for r in residuals)))
-            snorm = pen * np.sqrt(3.0) * frobenius_norm(z_new - z)
-            duals = [u + r for u, r in zip(duals, residuals)]
-            z = z_new
-            rhist.append(rnorm)
-            dhist.append(snorm)
-            if rnorm <= ptol and snorm <= dtol:
-                status = CONVERGED
-                break
-            pen, duals = _balance_penalty(pen, duals, rnorm, snorm)
-    except NumericalError:
-        status = NUMERICAL_FAILURE
-    return _result(problem, z, status, it, rnorm, snorm, rhist, dhist)
+    """Quadratic data fit, weighted nuclear norm, and L1 on the unobserved entries."""
+    _check_formulation(problem, "nnm-noisy-reg")
+    return _solve_two_block(problem, cfg or SolverConfig())
 
 
 def _solve_rpca(problem: CompletionProblem, cfg: SolverConfig) -> SolveResult:
@@ -434,7 +402,7 @@ def _solve_rpca(problem: CompletionProblem, cfg: SolverConfig) -> SolveResult:
             if rnorm <= ptol and snorm <= dtol:
                 status = CONVERGED
                 break
-            pen, (u,) = _balance_penalty(pen, (u,), rnorm, snorm)
+            pen, u = _balance_penalty(pen, u, rnorm, snorm)
     except NumericalError:
         status = NUMERICAL_FAILURE
     return _result(problem, a, status, it, rnorm, snorm, rhist, dhist, sparse=s_mat)
@@ -448,12 +416,8 @@ def solve_rpca_restricted(
     Returns the low-rank solve result and the sparse component; their sum
     matches the zero-filled observation matrix within the primal tolerance.
     """
-    cfg = cfg or SolverConfig()
-    if problem.formulation != "rpca-restricted":
-        raise ValueError(
-            f"expected formulation rpca-restricted, got {problem.formulation!r}"
-        )
-    result = _solve_rpca(problem, cfg)
+    _check_formulation(problem, "rpca-restricted")
+    result = _solve_rpca(problem, cfg or SolverConfig())
     return result, result.sparse
 
 

@@ -261,6 +261,26 @@ class TestBenchmark:
         text = (outdir / "results.csv").read_text()
         assert "failed" in text
 
+    def test_nonconverged_trials_reported(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(SYNTH_CONFIG + "\n[solver]\nmax_iters = 3\n")
+        outdir = tmp_path / "out"
+        code = run_cli("benchmark", "--config", str(cfg), "--outdir", str(outdir))
+        assert code == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["failed_trials"] == 0
+        assert manifest["nonconverged_trials"] == 1
+        assert "1 trial(s) did not converge" in capsys.readouterr().err
+
+    def test_converged_run_reports_zero_nonconverged(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(SYNTH_CONFIG)
+        outdir = tmp_path / "out"
+        assert run_cli("benchmark", "--config", str(cfg), "--outdir", str(outdir)) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["nonconverged_trials"] == 0
+        assert "did not converge" not in capsys.readouterr().err
+
     def test_bad_config_is_data_error(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[experiment]\nkind = synthetic\n")

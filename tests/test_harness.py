@@ -13,6 +13,7 @@ from structmc import (
     run_real_matrix,
     stream,
 )
+import structmc.harness as harness
 from structmc.errors import CellError
 from structmc.harness import OUTCOME_BOTH_EXACT, OUTCOME_FAILED, OUTCOME_OK, subsample_rows
 
@@ -222,3 +223,31 @@ class TestSolverConfigThreading:
         loose = small_grid(trials=1, solver=SolverConfig(max_iters=2))
         rec = run_cell(loose, (0.3, 0.8), 0)
         assert rec.status_baseline == "max-iters"
+
+
+class TestSweepExecutor:
+    def test_unexpected_trial_error_keeps_finished_records(self, monkeypatch):
+        real_solve = harness.solve
+        calls = []
+        per_trial = 1 + len(ALPHAS)  # baseline plus one solve per alpha
+
+        def flaky_solve(problem, cfg=None):
+            calls.append(problem.formulation)
+            if len(calls) == per_trial + 1:  # first solve of trial 1
+                raise RuntimeError("solver blew up")
+            return real_solve(problem, cfg)
+
+        monkeypatch.setattr(harness, "solve", flaky_solve)
+        result = run_grid(small_grid(trials=3), strict=False)
+        assert [r.trial_index for r in result.records] == [0, 1, 2]
+        assert [r.outcome for r in result.records] == [OUTCOME_OK, OUTCOME_FAILED, OUTCOME_OK]
+        assert "solver blew up" in result.records[1].error
+        assert result.failures[0, 0] == 1
+
+    def test_strict_propagates_unexpected_error(self, monkeypatch):
+        def broken_solve(problem, cfg=None):
+            raise RuntimeError("solver blew up")
+
+        monkeypatch.setattr(harness, "solve", broken_solve)
+        with pytest.raises(RuntimeError):
+            run_grid(small_grid(trials=1))

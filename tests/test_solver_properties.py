@@ -1,0 +1,98 @@
+"""Property tests for the two-block ADMM engine on small random instances."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from structmc import (
+    CompletionProblem,
+    ObservationMask,
+    SolverConfig,
+    entrywise_l1,
+    nuclear_norm,
+    objective_value,
+    project,
+    solve,
+    stream,
+)
+
+TIGHT = SolverConfig(max_iters=20000, primal_tol=1e-9, dual_tol=1e-9)
+PROPERTY = settings(derandomize=True, max_examples=20, deadline=None)
+
+instances = st.tuples(
+    st.integers(0, 2**31 - 1),  # seed
+    st.integers(2, 6),  # rows
+    st.integers(2, 6),  # cols
+    st.floats(0.3, 0.9),  # observed fraction
+    st.floats(0.02, 1.5),  # alpha / rho: below 1 the L1 term moves the solution
+    st.floats(0.01, 1.0),  # rho
+)
+
+
+def _instance(seed, rows, cols, density):
+    rng = stream(seed, "property-instance")
+    m = rng.standard_normal((rows, 2)) @ rng.standard_normal((2, cols))
+    m = m + 0.1 * rng.standard_normal((rows, cols))
+    keep = stream(seed, "property-mask").random((rows, cols)) < density
+    keep.flat[0] = True  # at least one observation
+    return m, ObservationMask.from_lookup(keep)
+
+
+def _noisy_pair(seed, rows, cols, density, ratio, rho):
+    m, mask = _instance(seed, rows, cols, density)
+    alpha = ratio * rho
+    plain = CompletionProblem(m, mask, "nnm-noisy", rho=rho)
+    reg = CompletionProblem(m, mask, "nnm-noisy-reg", alpha=alpha, rho=rho)
+    return plain, reg, solve(plain, TIGHT).completed, solve(reg, TIGHT).completed
+
+
+def _tol(value):
+    return 1e-6 * (1.0 + abs(value))
+
+
+@PROPERTY
+@given(instances)
+def test_noisy_reg_solution_minimizes_the_regularized_objective(params):
+    _, reg, a_plain, a_reg = _noisy_pair(*params)
+    at_reg = objective_value(reg, a_reg)
+    assert at_reg <= objective_value(reg, a_plain) + _tol(at_reg)
+
+
+@PROPERTY
+@given(instances)
+def test_noisy_solution_minimizes_the_plain_objective(params):
+    plain, _, a_plain, a_reg = _noisy_pair(*params)
+    at_plain = objective_value(plain, a_plain)
+    assert at_plain <= objective_value(plain, a_reg) + _tol(at_plain)
+
+
+@PROPERTY
+@given(instances, st.sampled_from(["nnm-noisy", "nnm-noisy-reg"]))
+def test_noisy_solution_is_stationary_under_scaling(params, formulation):
+    # F(t*A) is convex in t and its penalties are 1-homogeneous, so at the
+    # minimizer d/dt F(t*A) at t = 1 vanishes:
+    # <P_O(A - M), A> + rho*||A||_* + alpha*||P_Oc(A)||_1 = 0
+    seed, rows, cols, density, ratio, rho = params
+    m, mask = _instance(seed, rows, cols, density)
+    alpha = ratio * rho if formulation == "nnm-noisy-reg" else 0.0
+    a = solve(CompletionProblem(m, mask, formulation, alpha=alpha, rho=rho), TIGHT).completed
+    unobserved = mask.complement()
+    slope = (
+        float(np.sum(project(a - m, mask) * a))
+        + rho * nuclear_norm(a)
+        + alpha * entrywise_l1(project(a, unobserved))
+    )
+    assert abs(slope) <= _tol(float(np.sum(project(m, mask) ** 2)))
+
+
+@PROPERTY
+@given(instances, st.sampled_from(["nnm-exact", "nnm-reg", "nnm-noisy", "nnm-noisy-reg"]))
+def test_transposed_instance_gives_transposed_completion(params, formulation):
+    seed, rows, cols, density, ratio, rho = params
+    alpha = ratio * rho
+    m, mask = _instance(seed, rows, cols, density)
+    mask_t = ObservationMask.from_lookup(mask.lookup.T)
+    a = solve(CompletionProblem(m, mask, formulation, alpha=alpha, rho=rho), TIGHT)
+    a_t = solve(CompletionProblem(m.T, mask_t, formulation, alpha=alpha, rho=rho), TIGHT)
+    scale = 1.0 + float(np.max(np.abs(m)))
+    np.testing.assert_allclose(a_t.completed, a.completed.T, rtol=0, atol=1e-5 * scale)
