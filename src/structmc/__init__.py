@@ -26,7 +26,7 @@ from .matrix import (
     project,
 )
 from .metrics import IncoherenceStats, error_ratio, incoherence, ratio_from_errors, relative_error
-from .prox import enforce_observed, prox_obs_fit, prox_obs_fit_quad, soft_threshold, svt
+from .prox import enforce_observed, prox_obs_fit_quad, soft_threshold, svt
 from .solvers import (
     CONVERGED,
     FORMULATIONS,
@@ -36,14 +36,9 @@ from .solvers import (
     SolveResult,
     SolverConfig,
     estimate_rank,
-    monotone_envelope,
     objective_value,
     oracle_solve,
     solve,
-    solve_nnm_exact,
-    solve_nnm_noisy,
-    solve_nnm_noisy_reg,
-    solve_nnm_reg,
     solve_rpca_restricted,
 )
 from .synth import (
@@ -70,7 +65,6 @@ __all__ = [
     "entrywise_l1",
     "svt",
     "soft_threshold",
-    "prox_obs_fit",
     "prox_obs_fit_quad",
     "enforce_observed",
     "FORMULATIONS",
@@ -82,12 +76,7 @@ __all__ = [
     "SolveResult",
     "estimate_rank",
     "objective_value",
-    "monotone_envelope",
     "solve",
-    "solve_nnm_exact",
-    "solve_nnm_reg",
-    "solve_nnm_noisy",
-    "solve_nnm_noisy_reg",
     "solve_rpca_restricted",
     "oracle_solve",
     "GeneratorSpec",

@@ -236,7 +236,7 @@ def cmd_benchmark(args) -> int:
         "alphas": list(spec.alphas),
         "zero_rates": list(spec.zero_rates),
         "nonzero_rates": list(spec.nonzero_rates),
-        "row_subsample": getattr(spec, "row_subsample", None),
+        "row_subsample": spec.row_subsample,
         "records": len(result.records),
         "failed_trials": int(result.failures.sum()),
         "nonconverged_trials": n_nonconverged,

@@ -71,17 +71,19 @@ def _as_rate_tuple(values, name):
 
 
 @dataclass(frozen=True)
-class ExperimentGrid:
-    """Sweep configuration over sampling-rate cells on synthetic data."""
+class _SweepSpec:
+    """Fields and validation shared by both sweep kinds."""
 
     zero_rates: tuple[float, ...]
     nonzero_rates: tuple[float, ...]
     alphas: tuple[float, ...]
     trials: int
-    generator: GeneratorSpec
     noise_sigma: float = 0.0
     base_seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
+
+    # synthetic truths are never row-subsampled; RealSweep makes this a field
+    row_subsample = None
 
     def __post_init__(self):
         object.__setattr__(self, "zero_rates", _as_rate_tuple(self.zero_rates, "zero_rates"))
@@ -89,17 +91,27 @@ class ExperimentGrid:
             self, "nonzero_rates", _as_rate_tuple(self.nonzero_rates, "nonzero_rates")
         )
         alphas = tuple(float(a) for a in self.alphas)
-        if not alphas or any(a <= 0 for a in alphas):
+        # written so that NaN fails every comparison and is rejected
+        if not alphas or not all(0.0 < a < math.inf for a in alphas):
             raise ValueError(f"alphas must be a nonempty list of positive reals, got {alphas}")
         object.__setattr__(self, "alphas", alphas)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(
+                f"noise_sigma must be a finite nonnegative real, got {self.noise_sigma}"
+            )
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentGrid(_SweepSpec):
+    """Sweep configuration over sampling-rate cells on synthetic data."""
+
+    generator: GeneratorSpec
 
 
 @dataclass(frozen=True)
-class RealSweep:
+class RealSweep(_SweepSpec):
     """Same protocol as :class:`ExperimentGrid` with an ingested ground truth.
 
     ``row_subsample`` picks that many rows afresh each trial (without
@@ -107,26 +119,10 @@ class RealSweep:
     the full data is too large to solve repeatedly.
     """
 
-    zero_rates: tuple[float, ...]
-    nonzero_rates: tuple[float, ...]
-    alphas: tuple[float, ...]
-    trials: int
-    noise_sigma: float = 0.0
-    base_seed: int = 0
     row_subsample: int | None = None
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "zero_rates", _as_rate_tuple(self.zero_rates, "zero_rates"))
-        object.__setattr__(
-            self, "nonzero_rates", _as_rate_tuple(self.nonzero_rates, "nonzero_rates")
-        )
-        alphas = tuple(float(a) for a in self.alphas)
-        if not alphas or any(a <= 0 for a in alphas):
-            raise ValueError(f"alphas must be a nonempty list of positive reals, got {alphas}")
-        object.__setattr__(self, "alphas", alphas)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        super().__post_init__()
         if self.row_subsample is not None and self.row_subsample < 1:
             raise ValueError(f"row_subsample must be >= 1, got {self.row_subsample}")
 
@@ -233,48 +229,46 @@ def _score_cell(truth, observed, mask, alphas, noise_sigma, solver_cfg, debug):
     )
 
 
-def run_cell(grid: ExperimentGrid, cell, trial_index: int, debug: bool = False) -> TrialRecord:
-    """Run one synthetic trial of one cell; deterministic in (grid, cell, trial)."""
+def _run_trial(spec, cell, trial_index, draw_truth, debug) -> TrialRecord:
+    """Draw a mask (and noise) for one trial, score it and build the record.
+
+    ``draw_truth(seed_of, attempt)`` gives attempt ``attempt``'s ground
+    truth, or None for a degenerate draw; ``seed_of(purpose, attempt)`` is
+    the trial's seed schedule.  Both degenerate truths and empty masks are
+    redrawn with the next attempt, at most ``_MAX_REDRAWS`` times.
+    """
     rate_zero, rate_nonzero = float(cell[0]), float(cell[1])
-    truth = mask = None
-    attempt = 0
+
+    def seed_of(purpose, attempt):
+        return derive_seed(spec.base_seed, rate_zero, rate_nonzero, trial_index, purpose, attempt)
+
     for attempt in range(_MAX_REDRAWS):
-        gen_seed = derive_seed(
-            grid.base_seed, rate_zero, rate_nonzero, trial_index, "matrix", attempt
-        )
-        candidate = generate_low_rank(replace(grid.generator, seed=gen_seed))
-        if not candidate.any():
+        truth = draw_truth(seed_of, attempt)
+        if truth is None:
             log.debug("cell %s trial %d attempt %d: all-zero draw, redrawing",
                       cell, trial_index, attempt)
             continue
-        mask_seed = derive_seed(
-            grid.base_seed, rate_zero, rate_nonzero, trial_index, "mask", attempt
-        )
         try:
             mask = sample_structured_mask(
-                candidate, SamplingSpec(rate_zero, rate_nonzero, mask_seed)
+                truth, SamplingSpec(rate_zero, rate_nonzero, seed_of("mask", attempt))
             )
         except InvalidSamplingError:
             log.debug("cell %s trial %d attempt %d: empty mask, redrawing",
                       cell, trial_index, attempt)
             continue
-        truth = candidate
         break
-    if truth is None or mask is None:
+    else:
         raise CellError(
             (rate_zero, rate_nonzero),
             trial_index,
             f"degenerate draws exhausted {_MAX_REDRAWS} attempts",
         )
-    if grid.noise_sigma > 0:
-        noise_seed = derive_seed(
-            grid.base_seed, rate_zero, rate_nonzero, trial_index, "noise", attempt
-        )
-        observed = add_noise(truth, grid.noise_sigma, mask, noise_seed)
+    if spec.noise_sigma > 0:
+        observed = add_noise(truth, spec.noise_sigma, mask, seed_of("noise", attempt))
     else:
         observed = truth
     scored = _score_cell(
-        truth, observed, mask, grid.alphas, grid.noise_sigma, grid.solver, debug
+        truth, observed, mask, spec.alphas, spec.noise_sigma, spec.solver, debug
     )
     return TrialRecord(
         cell=(rate_zero, rate_nonzero),
@@ -282,6 +276,16 @@ def run_cell(grid: ExperimentGrid, cell, trial_index: int, debug: bool = False) 
         attempts=attempt + 1,
         **scored,
     )
+
+
+def run_cell(grid: ExperimentGrid, cell, trial_index: int, debug: bool = False) -> TrialRecord:
+    """Run one synthetic trial of one cell; deterministic in (grid, cell, trial)."""
+
+    def draw_truth(seed_of, attempt):
+        truth = generate_low_rank(replace(grid.generator, seed=seed_of("matrix", attempt)))
+        return truth if truth.any() else None
+
+    return _run_trial(grid, cell, trial_index, draw_truth, debug)
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,38 +399,8 @@ def run_grid(
 
 
 def _real_trial(truth, sweep, cell, trial_index, debug):
-    rate_zero, rate_nonzero = cell
-    mask = None
-    attempt = 0
-    for attempt in range(_MAX_REDRAWS):
-        mask_seed = derive_seed(
-            sweep.base_seed, rate_zero, rate_nonzero, trial_index, "mask", attempt
-        )
-        try:
-            mask = sample_structured_mask(
-                truth, SamplingSpec(rate_zero, rate_nonzero, mask_seed)
-            )
-            break
-        except InvalidSamplingError:
-            continue
-    if mask is None:
-        raise CellError(cell, trial_index, f"empty masks exhausted {_MAX_REDRAWS} attempts")
-    if sweep.noise_sigma > 0:
-        noise_seed = derive_seed(
-            sweep.base_seed, rate_zero, rate_nonzero, trial_index, "noise", attempt
-        )
-        observed = add_noise(truth, sweep.noise_sigma, mask, noise_seed)
-    else:
-        observed = truth
-    scored = _score_cell(
-        truth, observed, mask, sweep.alphas, sweep.noise_sigma, sweep.solver, debug
-    )
-    return TrialRecord(
-        cell=(rate_zero, rate_nonzero),
-        trial_index=trial_index,
-        attempts=attempt + 1,
-        **scored,
-    )
+    """Run one trial of one cell against the trial's fixed ground truth."""
+    return _run_trial(sweep, cell, trial_index, lambda seed_of, attempt: truth, debug)
 
 
 def subsample_rows(m: np.ndarray, count: int, seed: int, trial_index: int) -> np.ndarray:

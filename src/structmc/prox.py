@@ -5,8 +5,7 @@ for one of the penalties appearing in the completion objectives:
 
 * :func:`svt`            h = nuclear norm (singular value thresholding)
 * :func:`soft_threshold` h = entrywise L1 restricted to a support mask
-* :func:`prox_obs_fit`   h = unsquared Frobenius distance to the observed block
-* :func:`prox_obs_fit_quad` h = half the squared Frobenius distance to it
+* :func:`prox_obs_fit_quad` h = half the squared Frobenius distance to the observed block
 * :func:`enforce_observed` h = indicator of the observation constraint
 
 All are pure functions of their inputs and firmly nonexpansive.
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import NumericalError
 from .matrix import ObservationMask, _check_shape
 
-__all__ = ["svt", "soft_threshold", "prox_obs_fit", "prox_obs_fit_quad", "enforce_observed"]
+__all__ = ["svt", "soft_threshold", "prox_obs_fit_quad", "enforce_observed"]
 
 
 def _check_tau(tau: float) -> float:
@@ -56,33 +55,6 @@ def soft_threshold(m: np.ndarray, tau: float, support: ObservationMask) -> np.nd
     _check_shape(m, support)
     shrunk = np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
     return np.where(support.lookup, shrunk, m)
-
-
-def prox_obs_fit(
-    m: np.ndarray,
-    observed_values: np.ndarray,
-    mask: ObservationMask,
-    tau: float,
-) -> np.ndarray:
-    """Prox of ``tau*||P_mask(observed_values - .)||_F`` (unsquared data fit).
-
-    Block soft-thresholding toward the observations: the masked residual
-    block of ``m`` is scaled by max(1 - tau/||residual||_F, 0); once the
-    residual norm drops to tau or below, the block snaps onto the
-    observations exactly.  Entries outside the mask are untouched.
-    """
-    tau = _check_tau(tau)
-    m = np.asarray(m, dtype=np.float64)
-    observed_values = np.asarray(observed_values, dtype=np.float64)
-    _check_shape(m, mask)
-    _check_shape(observed_values, mask)
-    residual = np.where(mask.lookup, m - observed_values, 0.0)
-    norm = float(np.linalg.norm(residual))
-    if norm == 0.0:
-        # zero residual is a fixed point; avoids 0/0 in the scale factor
-        return m.copy()
-    scale = max(1.0 - tau / norm, 0.0)
-    return np.where(mask.lookup, observed_values + scale * residual, m)
 
 
 def prox_obs_fit_quad(

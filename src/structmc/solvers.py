@@ -15,9 +15,9 @@ where O is the observed index set, Oc its complement, ``a`` the weight on
 the unobserved-entry regularizer and ``r`` the nuclear-norm weight of the
 noisy data-fit forms.
 
-The four ``nnm-*`` forms share one engine, a scaled two-block ADMM on the
-split A = Z (Boyd et al. 2011, sections 3 and 7) with residual-balanced
-penalty.  Each form only supplies its pair of proxes, one per block:
+All five forms share one engine, a scaled two-block ADMM on the split
+A = Z (Boyd et al. 2011, sections 3 and 7) with residual-balanced penalty.
+Each form only supplies its pair of proxes, one per block:
 
 ==================  ====================================  ======================
 formulation         A-block prox                          Z-block prox
@@ -27,12 +27,15 @@ formulation         A-block prox                          Z-block prox
                                                           observation overwrite
 ``nnm-noisy``       quadratic-fit blend on O              svt with weight r
 ``nnm-noisy-reg``   blend on O, soft threshold on Oc      svt with weight r
+``rpca-restricted`` svt                                   Y - soft threshold of
+                                                          Y - (.) by a
 ==================  ====================================  ======================
 
 The entrywise terms of each block act on disjoint supports, so every joint
-prox is closed form.  ``rpca-restricted`` keeps its own two-block loop over
-(A, S) with constraint A + S = P_O(M).  The noisy forms use the quadratic
-data fit because the standard weight
+prox is closed form.  ``rpca-restricted`` becomes this split once the sparse
+block is substituted out as S = Y - Z with Y = P_O(M); its solve returns the
+A block as the low-rank part and Y - Z as ``sparse``.  The noisy forms use
+the quadratic data fit because the standard weight
 r = (sqrt(n1)+sqrt(n2))*sqrt(|O|/(n1*n2))*sigma is an operator-norm estimate
 of the masked noise, which is exactly the quadratic form's shrink-to-zero
 threshold: with the unsquared fit that weight over-shrinks everything at
@@ -72,12 +75,7 @@ __all__ = [
     "SolveResult",
     "estimate_rank",
     "objective_value",
-    "monotone_envelope",
     "solve",
-    "solve_nnm_exact",
-    "solve_nnm_reg",
-    "solve_nnm_noisy",
-    "solve_nnm_noisy_reg",
     "solve_rpca_restricted",
     "oracle_solve",
 ]
@@ -184,14 +182,6 @@ def estimate_rank(m: np.ndarray, rel_cutoff: float = _RANK_REL_CUTOFF) -> int:
     return int(np.sum(s > rel_cutoff * s[0]))
 
 
-def monotone_envelope(values) -> np.ndarray:
-    """Running minimum of a residual sequence, for smoothed diagnostics."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return values
-    return np.minimum.accumulate(values)
-
-
 def objective_value(
     problem: CompletionProblem,
     completed: np.ndarray,
@@ -269,8 +259,8 @@ def _result(problem, completed, status, iterations, rnorm, snorm, rhist, dhist, 
     )
 
 
-def _prox_pair(problem: CompletionProblem):
-    """The (A-block, Z-block) prox pair of one nnm-* formulation.
+def _prox_pair(problem: CompletionProblem, y: np.ndarray):
+    """The (A-block, Z-block) prox pair of one formulation, with y = P_O(M).
 
     Each step maps (point, penalty) to the prox with step 1/penalty; the
     pairs are tabulated in the module docstring.
@@ -278,42 +268,51 @@ def _prox_pair(problem: CompletionProblem):
     f = problem.formulation
     m, mask, alpha, rho = problem.observed_values, problem.mask, problem.alpha, problem.rho
     unobserved = mask.complement()
-    if f in ("nnm-exact", "nnm-reg"):
-        y = project(m, mask)
-        reg = f == "nnm-reg"
+    if f in _NEEDS_RHO:
+        reg = f == "nnm-noisy-reg"
 
         def x_step(v, pen):
-            return svt(v, 1.0 / pen)
+            a = prox_obs_fit_quad(v, m, mask, 1.0 / pen)
+            if reg:
+                a = soft_threshold(a, alpha / pen, unobserved)
+            return a
 
         def z_step(w, pen):
-            if reg:
-                w = soft_threshold(w, alpha / pen, unobserved)
-            return enforce_observed(w, y, mask)
+            return svt(w, rho / pen)
 
         return x_step, z_step
-    reg = f == "nnm-noisy-reg"
 
     def x_step(v, pen):
-        a = prox_obs_fit_quad(v, m, mask, 1.0 / pen)
-        if reg:
-            a = soft_threshold(a, alpha / pen, unobserved)
-        return a
+        return svt(v, 1.0 / pen)
+
+    if f == "rpca-restricted":
+        full = ObservationMask.full(*problem.shape)
+
+        def z_step(w, pen):
+            return y - soft_threshold(y - w, alpha / pen, full)
+
+        return x_step, z_step
+    reg = f == "nnm-reg"
 
     def z_step(w, pen):
-        return svt(w, rho / pen)
+        if reg:
+            w = soft_threshold(w, alpha / pen, unobserved)
+        return enforce_observed(w, y, mask)
 
     return x_step, z_step
 
 
 def _solve_two_block(problem: CompletionProblem, cfg: SolverConfig) -> SolveResult:
-    """Scaled two-block ADMM on A = Z for the four nnm-* formulations.
+    """Scaled two-block ADMM on A = Z for every formulation.
 
-    Starts from Z = P_O(M), U = 0 and returns the Z block: for the
-    constrained forms it matches the observations bit-for-bit, for the noisy
-    forms its shrunk spectrum gives a clean rank estimate.
+    Starts from Z = A = P_O(M), U = 0.  The nnm-* forms return the Z block:
+    for the constrained forms it matches the observations bit-for-bit, for
+    the noisy forms its shrunk spectrum gives a clean rank estimate.
+    rpca-restricted returns the A block and the sparse part P_O(M) - Z.
     """
-    x_step, z_step = _prox_pair(problem)
-    z = project(problem.observed_values, problem.mask)
+    y = project(problem.observed_values, problem.mask)
+    x_step, z_step = _prox_pair(problem, y)
+    a = z = y
     u = np.zeros_like(z)
     pen = cfg.admm_penalty
     ptol, dtol = _tolerances(cfg, problem.shape)
@@ -338,74 +337,18 @@ def _solve_two_block(problem: CompletionProblem, cfg: SolverConfig) -> SolveResu
             pen, u = _balance_penalty(pen, u, rnorm, snorm)
     except NumericalError:
         status = NUMERICAL_FAILURE
+    if problem.formulation == "rpca-restricted":
+        return _result(problem, a, status, it, rnorm, snorm, rhist, dhist, sparse=y - z)
     return _result(problem, z, status, it, rnorm, snorm, rhist, dhist)
 
 
-def _check_formulation(problem: CompletionProblem, expected: str) -> None:
-    if problem.formulation != expected:
-        raise ValueError(f"expected formulation {expected}, got {problem.formulation!r}")
+def solve(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveResult:
+    """Solve any formulation with the two-block engine.
 
-
-def solve_nnm_exact(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveResult:
-    """Minimize the nuclear norm subject to exact agreement on the mask."""
-    _check_formulation(problem, "nnm-exact")
-    return _solve_two_block(problem, cfg or SolverConfig())
-
-
-def solve_nnm_reg(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveResult:
-    """Nuclear norm plus an L1 penalty on the unobserved entries, exact on the mask."""
-    _check_formulation(problem, "nnm-reg")
-    return _solve_two_block(problem, cfg or SolverConfig())
-
-
-def solve_nnm_noisy(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveResult:
-    """Quadratic data fit plus a weighted nuclear norm, no hard constraint."""
-    _check_formulation(problem, "nnm-noisy")
-    return _solve_two_block(problem, cfg or SolverConfig())
-
-
-def solve_nnm_noisy_reg(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveResult:
-    """Quadratic data fit, weighted nuclear norm, and L1 on the unobserved entries."""
-    _check_formulation(problem, "nnm-noisy-reg")
-    return _solve_two_block(problem, cfg or SolverConfig())
-
-
-def _solve_rpca(problem: CompletionProblem, cfg: SolverConfig) -> SolveResult:
-    """Two-block ADMM for the low-rank + sparse split of the zero-filled data.
-
-    svt step on the low-rank block, full-support soft threshold on the
-    sparse block, dual ascent on A + S = P_O(M).
+    For rpca-restricted the sparse component rides along on
+    ``result.sparse``.
     """
-    mask = problem.mask
-    y = project(problem.observed_values, mask)
-    full = ObservationMask.full(*problem.shape)
-    s_mat = np.zeros_like(y)
-    u = np.zeros_like(y)
-    a = y.copy()
-    pen = cfg.admm_penalty
-    ptol, dtol = _tolerances(cfg, problem.shape)
-    rhist, dhist = [], []
-    status = MAX_ITERS
-    it = 0
-    rnorm = snorm = float("inf")
-    try:
-        for it in range(1, cfg.max_iters + 1):
-            a = svt(y - s_mat - u, 1.0 / pen)
-            s_new = soft_threshold(y - a - u, problem.alpha / pen, full)
-            r = a + s_new - y
-            snorm = pen * frobenius_norm(s_new - s_mat)
-            rnorm = frobenius_norm(r)
-            u = u + r
-            s_mat = s_new
-            rhist.append(rnorm)
-            dhist.append(snorm)
-            if rnorm <= ptol and snorm <= dtol:
-                status = CONVERGED
-                break
-            pen, u = _balance_penalty(pen, u, rnorm, snorm)
-    except NumericalError:
-        status = NUMERICAL_FAILURE
-    return _result(problem, a, status, it, rnorm, snorm, rhist, dhist, sparse=s_mat)
+    return _solve_two_block(problem, cfg or SolverConfig())
 
 
 def solve_rpca_restricted(
@@ -416,30 +359,10 @@ def solve_rpca_restricted(
     Returns the low-rank solve result and the sparse component; their sum
     matches the zero-filled observation matrix within the primal tolerance.
     """
-    _check_formulation(problem, "rpca-restricted")
-    result = _solve_rpca(problem, cfg or SolverConfig())
+    if problem.formulation != "rpca-restricted":
+        raise ValueError(f"expected formulation rpca-restricted, got {problem.formulation!r}")
+    result = solve(problem, cfg)
     return result, result.sparse
-
-
-_SOLVERS = {
-    "nnm-exact": solve_nnm_exact,
-    "nnm-reg": solve_nnm_reg,
-    "nnm-noisy": solve_nnm_noisy,
-    "nnm-noisy-reg": solve_nnm_noisy_reg,
-}
-
-
-def solve(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveResult:
-    """Dispatch on the problem's formulation.
-
-    For rpca-restricted the sparse component rides along on
-    ``result.sparse``.
-    """
-    cfg = cfg or SolverConfig()
-    if problem.formulation == "rpca-restricted":
-        result, _ = solve_rpca_restricted(problem, cfg)
-        return result
-    return _SOLVERS[problem.formulation](problem, cfg)
 
 
 # ---------------------------------------------------------------------------

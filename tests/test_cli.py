@@ -287,6 +287,31 @@ class TestBenchmark:
         code = run_cli("benchmark", "--config", str(cfg), "--outdir", str(tmp_path / "o"))
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "kind,alphas,sigma",
+        [
+            ("synthetic", "0.1", "-0.1"),
+            ("synthetic", "0.1", "nan"),
+            ("synthetic", "0.1, inf", "0"),
+            ("real", "0.1", "-0.1"),
+            ("real", "0.1", "nan"),
+            ("real", "nan", "0"),
+        ],
+    )
+    def test_invalid_sweep_values_are_data_error(self, tmp_path, kind, alphas, sigma):
+        (tmp_path / "truth.csv").write_text("0,1,2\n3,0,1\n1,2,0\n")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            f"[experiment]\nkind = {kind}\ntrials = 1\nbase_seed = 5\nalphas = {alphas}\n"
+            f"noise_sigma = {sigma}\nzero_rates = 0.5\nnonzero_rates = 0.9\n\n"
+            "[generator]\nrows = 6\ncols = 6\nrank = 1\ndensity_left = 0.5\n"
+            "density_right = 0.5\n\n[real]\nmatrix = truth.csv\n"
+        )
+        outdir = tmp_path / "out"
+        code = run_cli("benchmark", "--config", str(cfg), "--outdir", str(outdir))
+        assert code == 3
+        assert not (outdir / "results.csv").exists()
+
     def test_missing_config_is_data_error(self, tmp_path):
         code = run_cli("benchmark", "--config", str(tmp_path / "nope.ini"),
                        "--outdir", str(tmp_path / "o"))

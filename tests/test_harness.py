@@ -52,6 +52,38 @@ class TestGridValidation:
             small_grid(trials=0)
 
 
+BAD_SPEC_VALUES = [
+    pytest.param({"noise_sigma": -0.1}, id="sigma-negative"),
+    pytest.param({"noise_sigma": math.nan}, id="sigma-nan"),
+    pytest.param({"noise_sigma": math.inf}, id="sigma-inf"),
+    pytest.param({"alphas": (0.1, math.nan)}, id="alpha-nan"),
+    pytest.param({"alphas": (math.inf,)}, id="alpha-inf"),
+]
+
+
+class TestSpecValidation:
+    # both sweep kinds share one validation path; NaN must not slip through
+    # comparisons that are false for it
+
+    @pytest.mark.parametrize("bad", BAD_SPEC_VALUES)
+    def test_grid_rejects(self, bad):
+        with pytest.raises(ValueError):
+            small_grid(**bad)
+
+    @pytest.mark.parametrize("bad", BAD_SPEC_VALUES)
+    def test_real_sweep_rejects(self, bad):
+        with pytest.raises(ValueError):
+            small_sweep(**bad)
+
+    def test_real_sweep_row_subsample_positive(self):
+        with pytest.raises(ValueError):
+            small_sweep(row_subsample=0)
+
+    def test_only_real_sweep_subsamples_rows(self):
+        assert small_grid().row_subsample is None
+        assert small_sweep(row_subsample=5).row_subsample == 5
+
+
 class TestRunCell:
     def test_deterministic_replay(self):
         grid = small_grid()

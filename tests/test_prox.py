@@ -7,7 +7,6 @@ from structmc import (
     enforce_observed,
     entrywise_l1,
     frobenius_norm,
-    prox_obs_fit,
     prox_obs_fit_quad,
     soft_threshold,
     stream,
@@ -111,53 +110,6 @@ class TestSoftThreshold:
             soft_threshold(np.ones((2, 2)), 1.0, ObservationMask.full(2, 3))
 
 
-class TestProxObsFit:
-    def test_zero_residual_is_fixed_point(self):
-        rng = stream(6, "fit-fixed")
-        obs = rng.standard_normal((3, 3))
-        mask = ObservationMask.from_lookup(rng.random((3, 3)) < 0.5)
-        m = np.where(mask.lookup, obs, rng.standard_normal((3, 3)))
-        np.testing.assert_array_equal(prox_obs_fit(m, obs, mask, 0.7), m)
-
-    def test_residual_halved_at_twice_tau(self):
-        obs = np.zeros((2, 2))
-        mask = ObservationMask.full(2, 2)
-        m = np.array([[2.0, 0.0], [0.0, 0.0]])  # residual norm 2, tau 1 -> scale 1/2
-        np.testing.assert_allclose(prox_obs_fit(m, obs, mask, 1.0), [[1.0, 0.0], [0.0, 0.0]], atol=1e-14)
-
-    def test_snaps_to_observations_within_tau(self):
-        obs = np.ones((2, 2))
-        mask = ObservationMask.full(2, 2)
-        m = obs + 0.01
-        out = prox_obs_fit(m, obs, mask, 5.0)
-        np.testing.assert_array_equal(out, obs)
-
-    def test_never_touches_unobserved(self):
-        rng = stream(6, "fit-unobserved")
-        for _ in range(10):
-            m = rng.standard_normal((4, 4))
-            obs = rng.standard_normal((4, 4))
-            mask = ObservationMask.from_lookup(rng.random((4, 4)) < 0.5)
-            out = prox_obs_fit(m, obs, mask, 0.5)
-            comp = ~mask.lookup
-            np.testing.assert_array_equal(out[comp], m[comp])
-
-    def test_matches_prox_definition_oracle(self):
-        rng = stream(42, "fit-oracle")
-        m = rng.random((3, 3)) * 2 - 1
-        obs = rng.random((3, 3))
-        mask = ObservationMask.from_lookup(rng.random((3, 3)) < 0.6)
-        tau = 0.7
-
-        def objective(x):
-            a = x.reshape(3, 3)
-            fit = np.linalg.norm(np.where(mask.lookup, obs - a, 0.0))
-            return tau * fit + 0.5 * np.linalg.norm(a - m) ** 2
-
-        found = nm_search(objective, m.ravel().copy()).reshape(3, 3)
-        assert np.abs(prox_obs_fit(m, obs, mask, tau) - found).max() < 1e-4
-
-
 class TestProxObsFitQuad:
     def test_blend_formula(self):
         rng = stream(8, "quad-blend")
@@ -226,15 +178,6 @@ class TestFirmNonexpansiveness:
         for _ in range(100):
             a, b = _random_pair(rng, (4, 4))
             lhs = frobenius_norm(soft_threshold(a, 0.5, support) - soft_threshold(b, 0.5, support))
-            assert lhs <= frobenius_norm(a - b) * (1 + 1e-12) + 1e-12
-
-    def test_prox_obs_fit(self):
-        rng = stream(12, "nonexp-fit")
-        obs = stream(12, "nonexp-fit-obs").standard_normal((4, 4))
-        mask = ObservationMask.from_lookup(stream(12, "nonexp-fit-mask").random((4, 4)) < 0.5)
-        for _ in range(100):
-            a, b = _random_pair(rng, (4, 4))
-            lhs = frobenius_norm(prox_obs_fit(a, obs, mask, 0.7) - prox_obs_fit(b, obs, mask, 0.7))
             assert lhs <= frobenius_norm(a - b) * (1 + 1e-12) + 1e-12
 
     def test_prox_obs_fit_quad(self):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structmc import (
+    FORMULATIONS,
     CompletionProblem,
     ObservationMask,
     SolverConfig,
@@ -86,7 +87,7 @@ def test_noisy_solution_is_stationary_under_scaling(params, formulation):
 
 
 @PROPERTY
-@given(instances, st.sampled_from(["nnm-exact", "nnm-reg", "nnm-noisy", "nnm-noisy-reg"]))
+@given(instances, st.sampled_from(list(FORMULATIONS)))
 def test_transposed_instance_gives_transposed_completion(params, formulation):
     seed, rows, cols, density, ratio, rho = params
     alpha = ratio * rho
@@ -96,3 +97,5 @@ def test_transposed_instance_gives_transposed_completion(params, formulation):
     a_t = solve(CompletionProblem(m.T, mask_t, formulation, alpha=alpha, rho=rho), TIGHT)
     scale = 1.0 + float(np.max(np.abs(m)))
     np.testing.assert_allclose(a_t.completed, a.completed.T, rtol=0, atol=1e-5 * scale)
+    if formulation == "rpca-restricted":
+        np.testing.assert_allclose(a_t.sparse, a.sparse.T, rtol=0, atol=1e-5 * scale)

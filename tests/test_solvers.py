@@ -13,7 +13,6 @@ from structmc import (
     as_matrix,
     frobenius_norm,
     generate_low_rank,
-    monotone_envelope,
     nuclear_norm,
     objective_value,
     oracle_solve,
@@ -22,7 +21,6 @@ from structmc import (
     rho_for_noise,
     sample_structured_mask,
     solve,
-    solve_nnm_reg,
     solve_rpca_restricted,
     stream,
 )
@@ -37,6 +35,14 @@ TIGHT = SolverConfig(max_iters=20000, primal_tol=1e-9, dual_tol=1e-9)
 ONES_MASK = ObservationMask(2, 2, [(0, 0), (0, 1), (1, 0)])
 ONES_OBS = [[1.0, 1.0], [1.0, 0.0]]
 REG_MINIMIZER = 0.7989924369481576
+
+ALL_MODES = [
+    ("nnm-exact", {}),
+    ("nnm-reg", {"alpha": 0.1}),
+    ("nnm-noisy", {"rho": 0.3}),
+    ("nnm-noisy-reg", {"rho": 0.3, "alpha": 0.1}),
+    ("rpca-restricted", {"alpha": 0.4}),
+]
 
 
 def _random_problem(seed, shape=(6, 6), density=0.6):
@@ -78,7 +84,7 @@ class TestProblemValidation:
     def test_wrong_formulation_routed(self):
         p = CompletionProblem(ONES_OBS, ONES_MASK, "nnm-exact")
         with pytest.raises(ValueError):
-            solve_nnm_reg(p)
+            solve_rpca_restricted(p)
 
 
 class TestNnmExact:
@@ -267,16 +273,7 @@ class TestRpcaRestricted:
 
 
 class TestSolverContracts:
-    @pytest.mark.parametrize(
-        "formulation,kwargs",
-        [
-            ("nnm-exact", {}),
-            ("nnm-reg", {"alpha": 0.1}),
-            ("nnm-noisy", {"rho": 0.3}),
-            ("nnm-noisy-reg", {"rho": 0.3, "alpha": 0.1}),
-            ("rpca-restricted", {"alpha": 0.4}),
-        ],
-    )
+    @pytest.mark.parametrize("formulation,kwargs", ALL_MODES)
     def test_objective_beats_zero_fill(self, formulation, kwargs):
         m, mask = _random_problem(20, shape=(8, 8))
         p = CompletionProblem(m, mask, formulation, **kwargs)
@@ -288,16 +285,7 @@ class TestSolverContracts:
             reference = objective_value(p, y)
         assert res.objective <= reference + 1e-9 * (1.0 + abs(reference))
 
-    @pytest.mark.parametrize(
-        "formulation,kwargs",
-        [
-            ("nnm-exact", {}),
-            ("nnm-reg", {"alpha": 0.1}),
-            ("nnm-noisy", {"rho": 0.3}),
-            ("nnm-noisy-reg", {"rho": 0.3, "alpha": 0.1}),
-            ("rpca-restricted", {"alpha": 0.4}),
-        ],
-    )
+    @pytest.mark.parametrize("formulation,kwargs", ALL_MODES)
     def test_deterministic_across_runs(self, formulation, kwargs):
         m, mask = _random_problem(21, shape=(7, 7))
         p = CompletionProblem(m, mask, formulation, **kwargs)
@@ -329,9 +317,6 @@ class TestSolverContracts:
         res = solve(CompletionProblem(m, mask, "nnm-exact"))
         assert len(res.primal_history) == res.iterations
         assert len(res.dual_history) == res.iterations
-        env = monotone_envelope(res.primal_history)
-        assert np.all(np.diff(env) <= 0)
-        assert env[-1] <= res.primal_history[-1]
 
     def test_rank_estimate(self):
         assert estimate_rank(np.zeros((3, 3))) == 0
@@ -354,9 +339,13 @@ class TestSolverContracts:
 
         monkeypatch.setattr(solvers_mod, "svt", failing_svt)
         m, mask = _random_problem(26)
-        res = solve(CompletionProblem(m, mask, "nnm-exact"))
-        assert res.status == "numerical-failure"
-        assert res.completed.shape == m.shape
+        for formulation, kwargs in ALL_MODES:
+            res = solve(CompletionProblem(m, mask, formulation, **kwargs))
+            assert res.status == "numerical-failure", formulation
+            assert res.completed.shape == m.shape, formulation
+            if formulation == "rpca-restricted":
+                # the first svt raises before any A step: the start point is returned
+                assert res.sparse.shape == m.shape
 
 
 class TestOracle:
