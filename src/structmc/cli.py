@@ -8,6 +8,7 @@ work in the library modules.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -42,6 +43,8 @@ from .solvers import (
     FORMULATIONS,
     NUMERICAL_FAILURE,
     MAX_ITERS,
+    NEEDS_ALPHA,
+    NEEDS_RHO,
     CompletionProblem,
     SolverConfig,
     solve,
@@ -77,8 +80,7 @@ def _add_solver_flags(parser) -> None:
 
 def _check_mode_flags(args) -> None:
     mode = args.mode
-    needs_alpha = mode in ("nnm-reg", "nnm-noisy-reg", "rpca-restricted")
-    needs_rho = mode in ("nnm-noisy", "nnm-noisy-reg")
+    needs_alpha, needs_rho = mode in NEEDS_ALPHA, mode in NEEDS_RHO
     if needs_alpha and args.alpha is None:
         raise UsageError(f"mode {mode} requires --alpha")
     if not needs_alpha and args.alpha is not None:
@@ -136,12 +138,7 @@ def cmd_complete(args) -> int:
         "dual_residual": result.dual_residual,
         "rank_estimate": result.rank_estimate,
         "status": result.status,
-        "solver": {
-            "max_iters": cfg.max_iters,
-            "primal_tol": cfg.primal_tol,
-            "dual_tol": cfg.dual_tol,
-            "admm_penalty": cfg.admm_penalty,
-        },
+        "solver": dataclasses.asdict(cfg),
     }
     diag_path = args.diagnostics or args.output + ".diag.json"
     with open(diag_path, "w") as fh:

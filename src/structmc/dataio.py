@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -65,20 +66,27 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
+def _cell(x: float) -> str:
+    """A float cell: empty when undefined (NaN), ``inf`` when infinite."""
+    if math.isnan(x):
+        return ""
+    return "inf" if math.isinf(x) else fmt_float(x)
+
+
+def _write_rows(path, rows) -> None:
+    """Write CSV rows with ``\\n`` line endings, the same bytes on every platform."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def emit_matrix_csv(path, m, mask: ObservationMask | None = None) -> None:
     """Write a matrix as headerless CSV; masked-out entries become empty cells."""
     m = np.asarray(m, dtype=np.float64)
-    lookup = mask.lookup if mask is not None else None
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for i in range(m.shape[0]):
-            row = []
-            for j in range(m.shape[1]):
-                if lookup is not None and not lookup[i, j]:
-                    row.append("")
-                else:
-                    row.append(fmt_float(m[i, j]))
-            writer.writerow(row)
+    keep = mask.lookup if mask is not None else np.ones(m.shape, dtype=bool)
+    _write_rows(path, (
+        [fmt_float(v) if k else "" for v, k in zip(row, keep_row)]
+        for row, keep_row in zip(m.tolist(), keep.tolist())
+    ))
 
 
 def ingest_matrix_csv(path, policy: str = "strict"):
@@ -131,10 +139,7 @@ def ingest_matrix_csv(path, policy: str = "strict"):
 
 def emit_mask_csv(path, mask: ObservationMask) -> None:
     """Write observed index pairs, one ``i,j`` line per entry, row-major."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for i, j in mask.indices():
-            writer.writerow([i, j])
+    _write_rows(path, mask.indices())
 
 
 def ingest_mask_csv(path, rows: int, cols: int) -> ObservationMask:
@@ -210,19 +215,17 @@ def _get_float_list(cp, section, key):
 def _solver_from(cp) -> SolverConfig:
     if not cp.has_section("solver"):
         return SolverConfig()
-    known = {"max_iters", "primal_tol", "dual_tol", "admm_penalty"}
+    readers = {
+        f.name: _get_int if isinstance(f.default, int) else _get_float
+        for f in dataclasses.fields(SolverConfig)
+    }
+    values = {}
     for key in cp.options("solver"):
-        if key not in known:
+        if key not in readers:
             raise ConfigError(f"solver.{key}: unknown key")
+        values[key] = readers[key](cp, "solver", key)
     try:
-        return SolverConfig(
-            max_iters=_get_int(cp, "solver", "max_iters", default=SolverConfig.max_iters),
-            primal_tol=_get_float(cp, "solver", "primal_tol", default=SolverConfig.primal_tol),
-            dual_tol=_get_float(cp, "solver", "dual_tol", default=SolverConfig.dual_tol),
-            admm_penalty=_get_float(
-                cp, "solver", "admm_penalty", default=SolverConfig.admm_penalty
-            ),
-        )
+        return SolverConfig(**values)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
@@ -282,40 +285,17 @@ def load_config(path) -> BenchmarkConfig:
 # ---------------------------------------------------------------------------
 
 
-def _ratio_text(record) -> str:
-    if record.error is not None or math.isnan(record.ratio):
-        return ""
-    if math.isinf(record.ratio):
-        return "inf"
-    return fmt_float(record.ratio)
-
-
 def write_results_csv(path, result: GridResult) -> None:
-    """Long-form results: one row per trial record, fixed order and format."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for rec in result.records:
-            if rec.error is not None:
-                writer.writerow([
-                    fmt_float(rec.cell[0]), fmt_float(rec.cell[1]), rec.trial_index,
-                    "", "", "", "", rec.outcome, "", "", rec.attempts, rec.error,
-                ])
-                continue
-            writer.writerow([
-                fmt_float(rec.cell[0]),
-                fmt_float(rec.cell[1]),
-                rec.trial_index,
-                fmt_float(rec.alpha_used),
-                fmt_float(rec.err_reg),
-                fmt_float(rec.err_nnm),
-                _ratio_text(rec),
-                rec.outcome,
-                rec.status_baseline,
-                rec.status_reg,
-                rec.attempts,
-                "",
-            ])
+    """Long-form results: one row per trial record, fixed order and format.
+
+    Undefined values (a failed trial's numbers, a both-exact ratio) are empty.
+    """
+    _write_rows(path, [RESULT_COLUMNS, *(
+        [_cell(rec.cell[0]), _cell(rec.cell[1]), rec.trial_index,
+         *map(_cell, (rec.alpha_used, rec.err_reg, rec.err_nnm, rec.ratio)),
+         rec.outcome, rec.status_baseline, rec.status_reg, rec.attempts, rec.error or ""]
+        for rec in result.records
+    )])
 
 
 def write_heatmap_csv(path, zero_rates, nonzero_rates, table) -> None:
@@ -325,20 +305,9 @@ def write_heatmap_csv(path, zero_rates, nonzero_rates, table) -> None:
     trials) are empty; infinite means are written as ``inf``.
     """
     table = np.asarray(table, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rate_zero"] + [fmt_float(r) for r in nonzero_rates])
-        for i, rz in enumerate(zero_rates):
-            row = [fmt_float(rz)]
-            for j in range(len(nonzero_rates)):
-                v = table[i, j]
-                if math.isnan(v):
-                    row.append("")
-                elif math.isinf(v):
-                    row.append("inf")
-                else:
-                    row.append(fmt_float(v))
-            writer.writerow(row)
+    _write_rows(path, [["rate_zero", *map(_cell, nonzero_rates)], *(
+        [_cell(rz), *map(_cell, row)] for rz, row in zip(zero_rates, table.tolist())
+    )])
 
 
 def write_manifest(path, payload: dict) -> None:

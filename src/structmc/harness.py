@@ -146,7 +146,7 @@ class TrialRecord:
     status_baseline: str
     status_reg: str
     attempts: int = 1
-    alpha_errors: tuple | None = None
+    alpha_errors: tuple | None = None  # (alpha, error) per candidate; None if failed
     error: str | None = None
 
     @property
@@ -199,7 +199,7 @@ def _exact_tol(solver_cfg: SolverConfig, shape) -> float:
     return max(1e-12, solver_cfg.primal_tol * math.sqrt(shape[0] * shape[1]))
 
 
-def _score_cell(truth, observed, mask, alphas, noise_sigma, solver_cfg, debug):
+def _score_cell(truth, observed, mask, alphas, noise_sigma, solver_cfg):
     """Solve baseline and per-alpha regularized problems, pick the best alpha."""
     if noise_sigma > 0:
         rho = rho_for_noise(truth.shape[0], truth.shape[1], mask.size, noise_sigma)
@@ -225,11 +225,11 @@ def _score_cell(truth, observed, mask, alphas, noise_sigma, solver_cfg, debug):
         err_nnm=err_nnm,
         status_baseline=base_res.status,
         status_reg=best_res.status,
-        alpha_errors=tuple((a, e) for e, a, _ in per_alpha) if debug else None,
+        alpha_errors=tuple((a, e) for e, a, _ in per_alpha),
     )
 
 
-def _run_trial(spec, cell, trial_index, draw_truth, debug) -> TrialRecord:
+def _run_trial(spec, cell, trial_index, draw_truth) -> TrialRecord:
     """Draw a mask (and noise) for one trial, score it and build the record.
 
     ``draw_truth(seed_of, attempt)`` gives attempt ``attempt``'s ground
@@ -267,9 +267,7 @@ def _run_trial(spec, cell, trial_index, draw_truth, debug) -> TrialRecord:
         observed = add_noise(truth, spec.noise_sigma, mask, seed_of("noise", attempt))
     else:
         observed = truth
-    scored = _score_cell(
-        truth, observed, mask, spec.alphas, spec.noise_sigma, spec.solver, debug
-    )
+    scored = _score_cell(truth, observed, mask, spec.alphas, spec.noise_sigma, spec.solver)
     return TrialRecord(
         cell=(rate_zero, rate_nonzero),
         trial_index=trial_index,
@@ -278,14 +276,14 @@ def _run_trial(spec, cell, trial_index, draw_truth, debug) -> TrialRecord:
     )
 
 
-def run_cell(grid: ExperimentGrid, cell, trial_index: int, debug: bool = False) -> TrialRecord:
+def run_cell(grid: ExperimentGrid, cell, trial_index: int) -> TrialRecord:
     """Run one synthetic trial of one cell; deterministic in (grid, cell, trial)."""
 
     def draw_truth(seed_of, attempt):
         truth = generate_low_rank(replace(grid.generator, seed=seed_of("matrix", attempt)))
         return truth if truth.any() else None
 
-    return _run_trial(grid, cell, trial_index, draw_truth, debug)
+    return _run_trial(grid, cell, trial_index, draw_truth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,8 +345,7 @@ def _grid_tasks(grid):
 
 
 def _cell_worker(args):
-    grid, cell, trial, debug = args
-    return run_cell(grid, cell, trial, debug=debug)
+    return run_cell(*args)
 
 
 def _run_tasks(tasks, worker, payloads, workers, strict):
@@ -380,12 +377,7 @@ def _run_tasks(tasks, worker, payloads, workers, strict):
     return records
 
 
-def run_grid(
-    grid: ExperimentGrid,
-    workers: int = 1,
-    strict: bool = True,
-    debug: bool = False,
-) -> GridResult:
+def run_grid(grid: ExperimentGrid, workers: int = 1, strict: bool = True) -> GridResult:
     """Run every (cell, trial) and aggregate.
 
     Output is a pure function of ``grid`` alone: trials may execute in
@@ -394,13 +386,13 @@ def run_grid(
     failure record instead of aborting the sweep.
     """
     tasks = _grid_tasks(grid)
-    payloads = [(grid, cell, trial, debug) for cell, trial in tasks]
+    payloads = [(grid, cell, trial) for cell, trial in tasks]
     return _aggregate(grid, _run_tasks(tasks, _cell_worker, payloads, workers, strict))
 
 
-def _real_trial(truth, sweep, cell, trial_index, debug):
+def _real_trial(truth, sweep, cell, trial_index):
     """Run one trial of one cell against the trial's fixed ground truth."""
-    return _run_trial(sweep, cell, trial_index, lambda seed_of, attempt: truth, debug)
+    return _run_trial(sweep, cell, trial_index, lambda seed_of, attempt: truth)
 
 
 def subsample_rows(m: np.ndarray, count: int, seed: int, trial_index: int) -> np.ndarray:
@@ -414,11 +406,7 @@ def subsample_rows(m: np.ndarray, count: int, seed: int, trial_index: int) -> np
 
 
 def run_real_matrix(
-    m: np.ndarray,
-    sweep: RealSweep,
-    workers: int = 1,
-    strict: bool = True,
-    debug: bool = False,
+    m: np.ndarray, sweep: RealSweep, workers: int = 1, strict: bool = True
 ) -> GridResult:
     """Run the grid protocol against a fully known ingested matrix."""
     truth_full = as_matrix(m)
@@ -434,10 +422,9 @@ def run_real_matrix(
         else:
             truths[trial] = truth_full
     tasks = _grid_tasks(sweep)
-    payloads = [(truths[trial], sweep, cell, trial, debug) for cell, trial in tasks]
+    payloads = [(truths[trial], sweep, cell, trial) for cell, trial in tasks]
     return _aggregate(sweep, _run_tasks(tasks, _real_worker, payloads, workers, strict))
 
 
 def _real_worker(args):
-    truth, sweep, cell, trial, debug = args
-    return _real_trial(truth, sweep, cell, trial, debug)
+    return _real_trial(*args)

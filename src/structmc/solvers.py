@@ -1,46 +1,40 @@
 """Operator-splitting solvers for the completion formulations.
 
-Five formulations are supported, all minimized by ADMM with closed-form
-proximal steps (no inner iterative subproblem anywhere):
+All five formulations are one objective: a nuclear norm (weight ``r`` in the
+noisy forms), a data term on the observed index set O and, where marked, the
+entrywise term ``a*||P_Oc(A)||_1`` on its complement Oc.  ``_FORMS`` holds
+this table; the objective, the proxes and the parameter checks read it.
 
-==================  =============================================================
-``nnm-exact``       min ||A||_*                          s.t. P_O(A) = P_O(M)
-``nnm-reg``         min ||A||_* + a*||P_Oc(A)||_1        s.t. P_O(A) = P_O(M)
-``nnm-noisy``       min 0.5*||P_O(M-A)||_F^2 + r*||A||_*
-``nnm-noisy-reg``   min 0.5*||P_O(M-A)||_F^2 + r*||A||_* + a*||P_Oc(A)||_1
-``rpca-restricted`` min ||A||_* + a*||S||_1              s.t. A + S = P_O(M)
-==================  =============================================================
+==================  ==========================  =======  =============
+formulation         data term on O              a on Oc  blocks (A, Z)
+==================  ==========================  =======  =============
+``nnm-exact``       exact: P_O(A) = P_O(M)      no       svt, entry
+``nnm-reg``         exact                       yes      svt, entry
+``nnm-noisy``       quad: 0.5*||P_O(M-A)||_F^2  no       entry, svt
+``nnm-noisy-reg``   quad                        yes      entry, svt
+``rpca-restricted`` l1: a*||P_O(M-A)||_1        yes      svt, entry
+==================  ==========================  =======  =============
 
-where O is the observed index set, Oc its complement, ``a`` the weight on
-the unobserved-entry regularizer and ``r`` the nuclear-norm weight of the
-noisy data-fit forms.
+``rpca-restricted`` is min ||A||_* + a*||S||_1 s.t. A + S = P_O(M); with
+S = P_O(M) - A substituted out, ||S||_1 is the L1 data term on O plus the
+a-term on Oc.
 
-All five forms share one engine, a scaled two-block ADMM on the split
-A = Z (Boyd et al. 2011, sections 3 and 7) with residual-balanced penalty.
-Each form only supplies its pair of proxes, one per block:
-
-==================  ====================================  ======================
-formulation         A-block prox                          Z-block prox
-==================  ====================================  ======================
-``nnm-exact``       svt                                   observation overwrite
-``nnm-reg``         svt                                   soft threshold on Oc,
-                                                          observation overwrite
-``nnm-noisy``       quadratic-fit blend on O              svt with weight r
-``nnm-noisy-reg``   blend on O, soft threshold on Oc      svt with weight r
-``rpca-restricted`` svt                                   Y - soft threshold of
-                                                          Y - (.) by a
-==================  ====================================  ======================
-
-The entrywise terms of each block act on disjoint supports, so every joint
-prox is closed form.  ``rpca-restricted`` becomes this split once the sparse
-block is substituted out as S = Y - Z with Y = P_O(M); its solve returns the
-A block as the low-rank part and Y - Z as ``sparse``.  The noisy forms use
-the quadratic data fit because the standard weight
-r = (sqrt(n1)+sqrt(n2))*sqrt(|O|/(n1*n2))*sigma is an operator-norm estimate
-of the masked noise, which is exactly the quadratic form's shrink-to-zero
-threshold: with the unsquared fit that weight over-shrinks everything at
-realistic noise levels.  Solvers are deterministic (no randomness anywhere)
-and single-threaded; distinct calls may run concurrently.
+All five share one engine, a scaled two-block ADMM on the split A = Z
+(Boyd et al. 2011, sections 3 and 7) with residual-balanced penalty.  One
+block is singular value thresholding, the other one entrywise step: on O it
+overwrites with the observations (exact), blends toward them (quad) or
+soft-thresholds the residual (l1); on Oc it soft-thresholds by a/penalty
+where the a-term is present.  The supports are disjoint, so the entrywise
+prox is closed form.  The svt block goes first unless the fit is quadratic.
+A solve returns the svt block, except that the exact forms return the
+entrywise block, which matches the observations bit-for-bit; rpca-restricted
+also returns ``sparse`` = P_O(M) - Z.  The noisy forms use the quadratic data
+fit because the standard weight r = (sqrt(n1)+sqrt(n2))*sqrt(|O|/(n1*n2))*sigma
+is an operator-norm estimate of the masked noise, which is exactly the
+quadratic form's shrink-to-zero threshold: with the unsquared fit that weight
+over-shrinks everything at realistic noise levels.  Solvers are deterministic
+(no randomness anywhere) and single-threaded; distinct calls may run
+concurrently.
 
 :func:`oracle_solve` is an independent brute-force check for tiny
 instances: dense grid search when at most two entries are free, otherwise a
@@ -80,9 +74,17 @@ __all__ = [
     "oracle_solve",
 ]
 
-FORMULATIONS = ("nnm-exact", "nnm-reg", "nnm-noisy", "nnm-noisy-reg", "rpca-restricted")
-_NEEDS_ALPHA = frozenset({"nnm-reg", "nnm-noisy-reg", "rpca-restricted"})
-_NEEDS_RHO = frozenset({"nnm-noisy", "nnm-noisy-reg"})
+# formulation -> (data term on O, has the alpha-term on Oc)
+_FORMS = {
+    "nnm-exact": ("exact", False),
+    "nnm-reg": ("exact", True),
+    "nnm-noisy": ("quad", False),
+    "nnm-noisy-reg": ("quad", True),
+    "rpca-restricted": ("l1", True),
+}
+FORMULATIONS = tuple(_FORMS)
+NEEDS_ALPHA = frozenset(f for f, (_, reg) in _FORMS.items() if reg)
+NEEDS_RHO = frozenset(f for f, (fit, _) in _FORMS.items() if fit == "quad")
 
 CONVERGED = "converged"
 MAX_ITERS = "max-iters"
@@ -120,9 +122,9 @@ class CompletionProblem:
             )
         if self.mask.size == 0:
             raise ValueError("mask must observe at least one entry")
-        if self.formulation in _NEEDS_ALPHA and not self.alpha > 0.0:
+        if self.formulation in NEEDS_ALPHA and not self.alpha > 0.0:
             raise ValueError(f"{self.formulation} requires alpha > 0, got {self.alpha}")
-        if self.formulation in _NEEDS_RHO and not self.rho > 0.0:
+        if self.formulation in NEEDS_RHO and not self.rho > 0.0:
             raise ValueError(f"{self.formulation} requires rho > 0, got {self.rho}")
 
     @property
@@ -188,30 +190,19 @@ def objective_value(
     sparse: np.ndarray | None = None,
 ) -> float:
     """Evaluate the formulation's objective at a candidate point."""
-    f = problem.formulation
-    if f == "nnm-exact":
-        return nuclear_norm(completed)
-    if f == "nnm-reg":
-        unobserved = problem.mask.complement()
-        return nuclear_norm(completed) + problem.alpha * entrywise_l1(
-            project(completed, unobserved)
-        )
-    if f == "nnm-noisy":
-        fit = frobenius_norm(project(problem.observed_values - completed, problem.mask))
-        return 0.5 * fit**2 + problem.rho * nuclear_norm(completed)
-    if f == "nnm-noisy-reg":
-        fit = frobenius_norm(project(problem.observed_values - completed, problem.mask))
-        unobserved = problem.mask.complement()
-        return (
-            0.5 * fit**2
-            + problem.rho * nuclear_norm(completed)
-            + problem.alpha * entrywise_l1(project(completed, unobserved))
-        )
-    if f == "rpca-restricted":
+    fit, reg = _FORMS[problem.formulation]
+    value = nuclear_norm(completed)
+    if fit == "l1":
+        # ||S||_1 holds both the data term on O and the alpha-term on Oc
         if sparse is None:
             raise ValueError("rpca-restricted objective needs the sparse component")
-        return nuclear_norm(completed) + problem.alpha * entrywise_l1(sparse)
-    raise ValueError(f"unknown formulation {f!r}")
+        return value + problem.alpha * entrywise_l1(sparse)
+    if fit == "quad":
+        residual = project(problem.observed_values - completed, problem.mask)
+        value = 0.5 * frobenius_norm(residual) ** 2 + problem.rho * value
+    if reg:
+        value = value + problem.alpha * entrywise_l1(project(completed, problem.mask.complement()))
+    return value
 
 
 def _tolerances(cfg: SolverConfig, shape) -> tuple[float, float]:
@@ -262,54 +253,37 @@ def _result(problem, completed, status, iterations, rnorm, snorm, rhist, dhist, 
 def _prox_pair(problem: CompletionProblem, y: np.ndarray):
     """The (A-block, Z-block) prox pair of one formulation, with y = P_O(M).
 
-    Each step maps (point, penalty) to the prox with step 1/penalty; the
-    pairs are tabulated in the module docstring.
+    Each step maps (point, penalty) to the prox with step 1/penalty: svt,
+    and one entrywise step built from the row of ``_FORMS``.
     """
-    f = problem.formulation
-    m, mask, alpha, rho = problem.observed_values, problem.mask, problem.alpha, problem.rho
-    unobserved = mask.complement()
-    if f in _NEEDS_RHO:
-        reg = f == "nnm-noisy-reg"
+    fit, reg = _FORMS[problem.formulation]
+    m, mask, alpha = problem.observed_values, problem.mask, problem.alpha
+    weight = problem.rho if fit == "quad" else 1.0
+    support = ObservationMask.full(*problem.shape) if fit == "l1" else mask.complement()
 
-        def x_step(v, pen):
-            a = prox_obs_fit_quad(v, m, mask, 1.0 / pen)
-            if reg:
-                a = soft_threshold(a, alpha / pen, unobserved)
-            return a
+    def low_rank(v, pen):
+        return svt(v, weight / pen)
 
-        def z_step(w, pen):
-            return svt(w, rho / pen)
-
-        return x_step, z_step
-
-    def x_step(v, pen):
-        return svt(v, 1.0 / pen)
-
-    if f == "rpca-restricted":
-        full = ObservationMask.full(*problem.shape)
-
-        def z_step(w, pen):
-            return y - soft_threshold(y - w, alpha / pen, full)
-
-        return x_step, z_step
-    reg = f == "nnm-reg"
-
-    def z_step(w, pen):
+    def entrywise(v, pen):
+        if fit == "l1":
+            return y - soft_threshold(y - v, alpha / pen, support)
         if reg:
-            w = soft_threshold(w, alpha / pen, unobserved)
-        return enforce_observed(w, y, mask)
+            v = soft_threshold(v, alpha / pen, support)
+        if fit == "quad":
+            return prox_obs_fit_quad(v, m, mask, 1.0 / pen)
+        return enforce_observed(v, y, mask)
 
-    return x_step, z_step
+    return (entrywise, low_rank) if fit == "quad" else (low_rank, entrywise)
 
 
-def _solve_two_block(problem: CompletionProblem, cfg: SolverConfig) -> SolveResult:
-    """Scaled two-block ADMM on A = Z for every formulation.
+def solve(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveResult:
+    """Solve any formulation with the scaled two-block ADMM on A = Z.
 
-    Starts from Z = A = P_O(M), U = 0.  The nnm-* forms return the Z block:
-    for the constrained forms it matches the observations bit-for-bit, for
-    the noisy forms its shrunk spectrum gives a clean rank estimate.
-    rpca-restricted returns the A block and the sparse part P_O(M) - Z.
+    Starts from Z = A = P_O(M), U = 0; which block is returned is set out in
+    the module docstring.  For rpca-restricted the sparse component rides
+    along on ``result.sparse``.
     """
+    cfg = cfg or SolverConfig()
     y = project(problem.observed_values, problem.mask)
     x_step, z_step = _prox_pair(problem, y)
     a = z = y
@@ -337,18 +311,11 @@ def _solve_two_block(problem: CompletionProblem, cfg: SolverConfig) -> SolveResu
             pen, u = _balance_penalty(pen, u, rnorm, snorm)
     except NumericalError:
         status = NUMERICAL_FAILURE
-    if problem.formulation == "rpca-restricted":
-        return _result(problem, a, status, it, rnorm, snorm, rhist, dhist, sparse=y - z)
-    return _result(problem, z, status, it, rnorm, snorm, rhist, dhist)
-
-
-def solve(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveResult:
-    """Solve any formulation with the two-block engine.
-
-    For rpca-restricted the sparse component rides along on
-    ``result.sparse``.
-    """
-    return _solve_two_block(problem, cfg or SolverConfig())
+    fit = _FORMS[problem.formulation][0]
+    low_rank, entrywise = (z, a) if fit == "quad" else (a, z)
+    completed = entrywise if fit == "exact" else low_rank
+    sparse = y - entrywise if fit == "l1" else None
+    return _result(problem, completed, status, it, rnorm, snorm, rhist, dhist, sparse)
 
 
 def solve_rpca_restricted(

@@ -142,10 +142,6 @@ def generate_low_rank(spec: GeneratorSpec) -> np.ndarray:
     return as_matrix(left @ right)
 
 
-def _round_half_even(x: float) -> int:
-    return int(round(x))
-
-
 def sample_structured_mask(m: np.ndarray, spec: SamplingSpec) -> ObservationMask:
     """Observe a shuffled prefix of the zero and nonzero entries of ``m``.
 
@@ -160,8 +156,8 @@ def sample_structured_mask(m: np.ndarray, spec: SamplingSpec) -> ObservationMask
     rng = stream(spec.seed, "structured-mask")
     zero_pos = np.argwhere(m == 0.0)
     nonzero_pos = np.argwhere(m != 0.0)
-    k_zero = _round_half_even(spec.rate_zero * len(zero_pos))
-    k_nonzero = _round_half_even(spec.rate_nonzero * len(nonzero_pos))
+    k_zero = round(spec.rate_zero * len(zero_pos))  # round() rounds half to even
+    k_nonzero = round(spec.rate_nonzero * len(nonzero_pos))
     chosen_zero = zero_pos[rng.permutation(len(zero_pos))[:k_zero]]
     chosen_nonzero = nonzero_pos[rng.permutation(len(nonzero_pos))[:k_nonzero]]
     if k_zero + k_nonzero == 0:

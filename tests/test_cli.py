@@ -138,6 +138,36 @@ class TestComplete:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "mode,needs_alpha,needs_rho",
+        [
+            ("nnm-exact", False, False),
+            ("nnm-reg", True, False),
+            ("nnm-noisy", False, True),
+            ("nnm-noisy-reg", True, True),
+            ("rpca-restricted", True, False),
+        ],
+    )
+    def test_mode_flag_rules(self, tmp_path, mode, needs_alpha, needs_rho):
+        src = tmp_path / "m.csv"
+        src.write_text("1,2\n3,\n")
+        base = ["complete", "--input", str(src), "--infer-mask", "--mode", mode,
+                "--output", str(tmp_path / "o.csv")]
+        alpha = ["--alpha", "0.1"]
+        rho, sigma = ["--rho", "0.1"], ["--sigma", "0.1"]
+        required = (alpha if needs_alpha else []) + (rho if needs_rho else [])
+        assert run_cli(*base, *required) == 0
+        if needs_alpha:
+            assert run_cli(*base, *(rho if needs_rho else [])) == 2
+        else:
+            assert run_cli(*base, *required, *alpha) == 2
+        if needs_rho:
+            assert run_cli(*base, *(alpha if needs_alpha else [])) == 2
+            assert run_cli(*base, *required, *sigma) == 2  # --rho and --sigma together
+        else:
+            assert run_cli(*base, *required, *rho) == 2
+            assert run_cli(*base, *required, *sigma) == 2
+
     def test_unknown_mode_is_usage_error(self, tmp_path):
         code = run_cli("complete", "--input", "x.csv", "--mode", "magic", "--output", "y.csv")
         assert code == 2

@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from structmc import ExperimentGrid, GeneratorSpec, ObservationMask, run_grid, stream
+from structmc import (
+    ExperimentGrid,
+    GeneratorSpec,
+    GridResult,
+    ObservationMask,
+    TrialRecord,
+    run_grid,
+    stream,
+)
 from structmc.dataio import (
     BenchmarkConfig,
     emit_mask_csv,
@@ -197,6 +205,21 @@ class TestConfig:
             load_config(path)
         assert "experiment.trials" in str(info.value)
 
+    def test_bad_solver_value_names_its_key_once(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text(SYNTH_CONFIG.replace("max_iters = 2000", "max_iters = abc"))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value).startswith("solver.max_iters: ")
+        assert "'abc'" in str(info.value)
+
+    def test_out_of_range_solver_value_is_config_error(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text(SYNTH_CONFIG.replace("max_iters = 2000", "max_iters = 0"))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert "max_iters" in str(info.value)
+
     def test_unknown_solver_key(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text(SYNTH_CONFIG + "step_size = 2\n")
@@ -257,6 +280,29 @@ class TestResultsSerialization:
         text = path.read_text()
         # the fully observed cell yields an empty ratio and the both-exact tag
         assert "both-exact" in text
+
+    def test_results_rows_exact_text(self, tmp_path):
+        nan = math.nan
+        common = dict(status_baseline="converged", status_reg="max-iters")
+        records = (
+            TrialRecord((0.1, 0.9), 0, 0.01, 0.5, 1.0 / 3.0, 2.0 / 3.0, attempts=2, **common),
+            TrialRecord((0.1, 0.9), 1, 0.1, nan, 0.0, 0.0, **common),
+            TrialRecord((1.0, 0.0), 0, 1e-4, math.inf, 2.5, 0.0, **common),
+            TrialRecord((0.0, 0.0), 3, nan, nan, nan, nan, "", "", error="cell (0, 0): no draw"),
+        )
+        result = GridResult(None, records, None, None, None, None)
+        path = tmp_path / "results.csv"
+        write_results_csv(path, result)
+        assert path.read_bytes().decode().split("\n") == [
+            "rate_zero,rate_nonzero,trial,alpha,err_reg,err_nnm,ratio,outcome,"
+            "status_baseline,status_reg,attempts,error",
+            "0.1,0.9,0,0.01,0.3333333333333333,0.6666666666666666,0.5,ok,"
+            "converged,max-iters,2,",
+            "0.1,0.9,1,0.1,0.0,0.0,,both-exact,converged,max-iters,1,",
+            "1.0,0.0,0,0.0001,2.5,0.0,inf,inf,converged,max-iters,1,",
+            "0.0,0.0,3,,,,,failed,,,1,\"cell (0, 0): no draw\"",
+            "",
+        ]
 
     def test_heatmap_layout(self, tmp_path):
         result = tiny_result()

@@ -110,7 +110,7 @@ class TestRunCell:
 
     def test_alpha_used_is_argmin(self):
         grid = small_grid()
-        rec = run_cell(grid, (0.3, 0.8), 0, debug=True)
+        rec = run_cell(grid, (0.3, 0.8), 0)
         assert rec.alpha_errors is not None
         errs = dict((a, e) for a, e in rec.alpha_errors)
         assert set(errs) == set(ALPHAS)

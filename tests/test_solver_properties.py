@@ -99,3 +99,20 @@ def test_transposed_instance_gives_transposed_completion(params, formulation):
     np.testing.assert_allclose(a_t.completed, a.completed.T, rtol=0, atol=1e-5 * scale)
     if formulation == "rpca-restricted":
         np.testing.assert_allclose(a_t.sparse, a.sparse.T, rtol=0, atol=1e-5 * scale)
+
+
+@PROPERTY
+@given(instances, st.sampled_from(list(FORMULATIONS)))
+def test_permuted_instance_gives_permuted_completion(params, formulation):
+    seed, rows, cols, density, ratio, rho = params
+    alpha = ratio * rho
+    m, mask = _instance(seed, rows, cols, density)
+    rng = stream(seed, "property-permutation")
+    pr, pc = rng.permutation(rows), rng.permutation(cols)
+    mask_p = ObservationMask.from_lookup(mask.lookup[pr][:, pc])
+    a = solve(CompletionProblem(m, mask, formulation, alpha=alpha, rho=rho), TIGHT)
+    a_p = solve(CompletionProblem(m[pr][:, pc], mask_p, formulation, alpha=alpha, rho=rho), TIGHT)
+    scale = 1.0 + float(np.max(np.abs(m)))
+    np.testing.assert_allclose(a_p.completed, a.completed[pr][:, pc], rtol=0, atol=1e-5 * scale)
+    if formulation == "rpca-restricted":
+        np.testing.assert_allclose(a_p.sparse, a.sparse[pr][:, pc], rtol=0, atol=1e-5 * scale)
