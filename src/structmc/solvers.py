@@ -33,8 +33,9 @@ fit because the standard weight r = (sqrt(n1)+sqrt(n2))*sqrt(|O|/(n1*n2))*sigma
 is an operator-norm estimate of the masked noise, which is exactly the
 quadratic form's shrink-to-zero threshold: with the unsquared fit that weight
 over-shrinks everything at realistic noise levels.  Solvers are deterministic
-(no randomness anywhere) and single-threaded; distinct calls may run
-concurrently.
+(no randomness anywhere) and hold no shared state, so distinct calls may run
+concurrently.  They are not single-threaded: the BLAS under svt runs as many
+threads as it is configured for (OpenBLAS defaults to one per core).
 
 :func:`oracle_solve` is an independent brute-force check for tiny
 instances: dense grid search when at most two entries are free, otherwise a
@@ -46,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .errors import NumericalError, OracleBudgetError
 from .matrix import (
@@ -455,6 +455,8 @@ def _polytope_minimize(fun, starts, maxfev, restarts):
     ones crawl into the corner (and terminate quickly by xatol when there
     is nothing left to gain).
     """
+    import scipy.optimize  # only the oracle needs it; keeps it out of CLI start-up
+
     deltas = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6)
     best_x, best_f = None, np.inf
     evals = 0

@@ -20,7 +20,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidSamplingError
 from .matrix import ObservationMask, as_matrix
@@ -73,6 +72,8 @@ def stream(seed: int, *path) -> np.random.Generator:
 
 def normal_draws(rng: np.random.Generator, shape, sigma: float = 1.0) -> np.ndarray:
     """Gaussian draws via inverse-CDF over 53-bit uniforms (portable)."""
+    from scipy.special import ndtri  # only noisy data needs it; keeps it out of start-up
+
     n = int(np.prod(shape))
     # (k + 0.5) / 2^53 lies strictly inside (0, 1), keeping ndtri finite
     u = (rng.integers(0, 1 << 53, size=n, dtype=np.int64) + 0.5) * 2.0**-53

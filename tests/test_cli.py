@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import structmc
 from structmc.cli import main
 from structmc.dataio import emit_matrix_csv, ingest_matrix_csv
 
@@ -355,3 +361,29 @@ class TestTopLevel:
     def test_version_exits_zero(self, capsys):
         assert run_cli("--version") == 0
         assert "structmc" in capsys.readouterr().out
+
+    def test_complete_leaves_heavy_scipy_modules_unloaded(self, tmp_path):
+        # scipy.optimize serves only the oracle and scipy.special only noise
+        # draws; a CLI process that imports either pays for it at start-up
+        script = textwrap.dedent(f"""
+            import sys
+            from structmc.cli import main
+            out = {str(tmp_path)!r}
+            assert main(["generate", "--rows", "120", "--cols", "120", "--rank", "4",
+                         "--density-left", "0.5", "--density-right", "0.5", "--seed", "3",
+                         "--rate-zero", "0.4", "--rate-nonzero", "0.8",
+                         "--matrix-out", out + "/m.csv", "--mask-out", out + "/k.csv"]) == 0
+            assert main(["complete", "--input", out + "/m.csv", "--mask", out + "/k.csv",
+                         "--mode", "nnm-noisy", "--sigma", "0.1",
+                         "--output", out + "/c.csv"]) == 0
+            heavy = ("scipy.optimize", "scipy.special", "scipy.linalg")
+            print("LOADED", [name for name in heavy if name in sys.modules])
+        """)
+        src = str(Path(structmc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            path for path in (src, os.environ.get("PYTHONPATH")) if path))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "LOADED []"
+        assert (tmp_path / "c.csv").exists()

@@ -1,18 +1,23 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from structmc import (
     ObservationMask,
     enforce_observed,
     entrywise_l1,
     frobenius_norm,
+    prox,
     prox_obs_fit_quad,
     soft_threshold,
     stream,
     svt,
 )
-from structmc.errors import DimensionMismatchError
+from structmc.errors import DimensionMismatchError, NumericalError
 
 
 def nm_search(fun, x0, restarts=14, maxfev=8000):
@@ -201,3 +206,88 @@ class TestFirmNonexpansiveness:
                 enforce_observed(a, obs, mask) - enforce_observed(b, obs, mask)
             )
             assert lhs <= frobenius_norm(a - b) * (1 + 1e-12) + 1e-12
+
+
+def _svd_svt(m, tau):
+    """The full-SVD route of svt, written out as the reference."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    return (u * np.maximum(s - tau, 0.0)) @ vt
+
+
+def _gram_instance(seed, shape, scale_exp, graded=False):
+    """A rank-5 part over a noise bulk (the spectrum of an ADMM iterate), or
+    with ``graded`` singular values spread evenly over nine decades."""
+    rng = stream(seed, "svt-gram")
+    if graded:
+        k = min(shape)
+        q1, _ = np.linalg.qr(rng.standard_normal((shape[0], k)))
+        q2, _ = np.linalg.qr(rng.standard_normal((shape[1], k)))
+        m = (q1 * np.logspace(0.0, -9.0, k)) @ q2.T
+    else:
+        m = rng.standard_normal((shape[0], 5)) @ rng.standard_normal((5, shape[1]))
+        m = m + 0.3 * rng.standard_normal(shape)
+    m = m * 10.0**scale_exp
+    return m, float(np.linalg.norm(m, 2))
+
+
+GRAM_PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
+gram_shapes = st.one_of(
+    st.integers(100, 160).map(lambda n: (n, n)),
+    st.tuples(st.integers(100, 160), st.integers(100, 160)),
+)
+gram_cases = dict(
+    seed=st.integers(0, 2**31 - 1),
+    shape=gram_shapes,
+    scale_exp=st.floats(-3.0, 3.0),
+    graded=st.booleans(),
+)
+
+
+class TestSvtGramRoute:
+    # from _GRAM_MIN_DIM rows and columns svt thresholds from eigh of the Gram matrix
+
+    @GRAM_PROPERTY
+    @given(**gram_cases, log_rel_tau=st.floats(-5.0, float(np.log10(2.0))))
+    @example(seed=1, shape=(160, 100), scale_exp=0.0, graded=False, log_rel_tau=-1.0)
+    @example(seed=2, shape=(100, 160), scale_exp=0.0, graded=True, log_rel_tau=-5.0)
+    @example(seed=3, shape=(130, 130), scale_exp=2.0, graded=False, log_rel_tau=-0.3)
+    def test_matches_full_svd(self, seed, shape, scale_exp, graded, log_rel_tau):
+        m, sigma1 = _gram_instance(seed, shape, scale_exp, graded)
+        tau = 10.0**log_rel_tau * sigma1
+        with mock.patch.object(prox, "_svt_gram", wraps=prox._svt_gram) as spy:
+            out = svt(m, tau)
+        assert spy.call_count == 1
+        assert out.shape == m.shape
+        assert frobenius_norm(out - _svd_svt(m, tau)) <= 1e-9 * max(1.0, sigma1)
+
+    @GRAM_PROPERTY
+    @given(**gram_cases, log_rel_tau=st.floats(-5.0, float(np.log10(2.0))),
+           log_rel_step=st.floats(-6.0, 0.0))
+    def test_nonexpansive(self, seed, shape, scale_exp, graded, log_rel_tau, log_rel_step):
+        a, sigma1 = _gram_instance(seed, shape, scale_exp, graded)
+        step = stream(seed, "svt-gram-step").standard_normal(shape)
+        b = a + step * (10.0**log_rel_step * sigma1 / frobenius_norm(step))
+        tau = 10.0**log_rel_tau * sigma1
+        lhs = frobenius_norm(svt(a, tau) - svt(b, tau))
+        assert lhs <= frobenius_norm(a - b) + 1e-9 * max(1.0, sigma1)
+
+    @GRAM_PROPERTY
+    @given(**gram_cases, log_rel_tau=st.floats(-9.0, -6.01))
+    def test_below_tau_guard_is_the_svd_route(self, seed, shape, scale_exp, graded, log_rel_tau):
+        m, sigma1 = _gram_instance(seed, shape, scale_exp, graded)
+        tau = 10.0**log_rel_tau * sigma1
+        np.testing.assert_array_equal(svt(m, tau), _svd_svt(m, tau))
+
+    def test_small_tau_guard_at_120(self):
+        m, sigma1 = _gram_instance(7, (120, 120), 0.0)
+        below = 0.5 * prox._GRAM_MIN_REL_TAU * sigma1
+        np.testing.assert_array_equal(svt(m, below), _svd_svt(m, below))
+        above = 2.0 * prox._GRAM_MIN_REL_TAU * sigma1
+        assert not np.array_equal(svt(m, above), _svd_svt(m, above))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises_at_120(self, bad):
+        m, _ = _gram_instance(8, (120, 120), 0.0)
+        m[3, 4] = bad
+        with pytest.raises(NumericalError):
+            svt(m, 1.0)

@@ -17,6 +17,7 @@ from structmc import (
     objective_value,
     oracle_solve,
     project,
+    prox,
     relative_error,
     rho_for_noise,
     sample_structured_mask,
@@ -294,6 +295,33 @@ class TestSolverContracts:
         assert a.completed.tobytes() == b.completed.tobytes()
         assert a.objective == b.objective
         assert a.iterations == b.iterations
+
+    def test_gram_svt_matches_svd_path_at_120(self, monkeypatch):
+        # at 120x120 svt thresholds from the Gram eigendecomposition; the
+        # same solves with the full SVD forced are the reference
+        rng = stream(30, "gram-vs-svd")
+        n = 120
+        truth = rng.standard_normal((n, 4)) @ rng.standard_normal((4, n))
+        noisy = truth + 0.05 * rng.standard_normal((n, n))
+        mask = ObservationMask.from_lookup(stream(30, "gram-vs-svd-mask").random((n, n)) < 0.5)
+        rho = rho_for_noise(n, n, mask.size, 0.05)
+        cases = [
+            ("nnm-exact", truth, {}),
+            ("nnm-reg", truth, {"alpha": 0.01}),
+            ("nnm-noisy", noisy, {"rho": rho}),
+            ("nnm-noisy-reg", noisy, {"rho": rho, "alpha": 0.01}),
+            ("rpca-restricted", truth, {"alpha": 0.1}),
+        ]
+        for formulation, m, kwargs in cases:
+            p = CompletionProblem(m, mask, formulation, **kwargs)
+            shipped = solve(p)
+            with monkeypatch.context() as mp:
+                mp.setattr(prox, "_GRAM_MIN_DIM", 10**9)
+                reference = solve(p)
+            assert shipped.status == reference.status == CONVERGED, formulation
+            assert shipped.iterations == reference.iterations, formulation
+            assert np.abs(shipped.completed - reference.completed).max() <= 1e-9, formulation
+            assert shipped.rank_estimate == reference.rank_estimate, formulation
 
     def test_converged_status_means_residuals_below_tol(self):
         m, mask = _random_problem(22)
