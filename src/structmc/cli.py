@@ -134,6 +134,7 @@ def cmd_complete(args) -> int:
         "observed": mask.size,
         "objective": result.objective,
         "iterations": result.iterations,
+        "penalty_changes": result.penalty_changes,
         "primal_residual": result.primal_residual,
         "dual_residual": result.dual_residual,
         "rank_estimate": result.rank_estimate,

@@ -17,9 +17,12 @@ are redrawn with an incremented attempt counter, at most 8 times.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -348,18 +351,47 @@ def _cell_worker(args):
     return run_cell(*args)
 
 
+# BLAS thread-count variables that sweep workers get as 1 unless already set
+_WORKER_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _one_blas_thread_per_process():
+    """Set the unset BLAS thread-count variables to 1, restore on exit.
+
+    The workers of a sweep already fill the cores.  Default BLAS threads of
+    several processes on shared cores wait on each other: ``eigh`` of a
+    30x30 Gram matrix, as in svt, took 1.8-9.5 ms in each of two processes on
+    two cores against 0.15 ms in one process.  Workers are spawned, not
+    forked, so that each reads these variables when it loads numpy.
+    """
+    unset = [name for name in _WORKER_BLAS_THREADS if name not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        yield
+    finally:
+        for name in unset:
+            os.environ.pop(name, None)
+
+
 def _run_tasks(tasks, worker, payloads, workers, strict):
     """Run ``worker(payload)`` per (cell, trial) task and keep task order.
 
+    ``workers`` > 1 runs the tasks in that many spawned processes, with one
+    BLAS thread each unless the caller set the thread-count variables.
     With ``strict=False`` any exception a task raises, including a broken
     worker pool, becomes that task's failure record, and every finished
     record is kept.
     """
     records = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
     try:
-        if pool is not None:
-            futures = [pool.submit(worker, p) for p in payloads]
+        if workers > 1:
+            # spawned pools start their workers on submit, so the limit
+            # stays set until every task is submitted
+            with _one_blas_thread_per_process():
+                pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+                futures = [pool.submit(worker, p) for p in payloads]
             outcomes = (fut.result for fut in futures)
         else:
             outcomes = (functools.partial(worker, p) for p in payloads)

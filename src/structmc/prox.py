@@ -10,9 +10,10 @@ for one of the penalties appearing in the completion objectives:
 
 All are pure functions of their inputs and firmly nonexpansive.
 
-:func:`svt` uses a full SVD on small inputs and the eigendecomposition of
-the smaller Gram matrix on large ones; its docstring gives the switch and
-the accuracy bound.
+:func:`svt` thresholds from the eigendecomposition of the smaller Gram
+matrix at every size and falls back to a full SVD only when tau is tiny
+against the largest singular value; its docstring gives the guard and the
+accuracy bound.
 """
 
 from __future__ import annotations
@@ -25,13 +26,10 @@ from .matrix import ObservationMask, _check_shape
 __all__ = ["svt", "soft_threshold", "prox_obs_fit_quad", "enforce_observed"]
 
 
-# min(n1, n2) from which svt works on the Gram matrix instead of a full SVD;
-# smaller inputs keep the full SVD, so small-instance results (the 30x30
-# sweeps among them) stay bit-for-bit as they were
-_GRAM_MIN_DIM = 100
-# squaring costs accuracy as tau/sigma_1 shrinks: against the SVD the error
-# grows like eps*sigma_1^2/tau, up to 8e-11*sigma_1 (Frobenius) at this ratio
-# on spectra spread over nine decades, so below it svt takes the full SVD
+# svt works on the Gram matrix at every size, but squaring costs accuracy as
+# tau/sigma_1 shrinks: against the SVD the error grows like eps*sigma_1^2/tau,
+# up to 8e-11*sigma_1 (Frobenius) at this ratio on spectra spread over nine
+# decades, so below it svt takes the full SVD
 _GRAM_MIN_REL_TAU = 1e-6
 
 
@@ -46,21 +44,19 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     """Shrink every singular value by ``tau`` and clamp at zero.
 
     Returns U * max(S - tau, 0) * V^T, the prox of ``tau*||.||_*`` at ``m``.
-    Below ``_GRAM_MIN_DIM`` rows or columns this is a full SVD.  At that size
-    and above, V and S^2 come from ``eigh`` of the smaller Gram matrix, only
-    the k eigenvalues above tau^2 are kept, and the result is
+    At every size, V and S^2 come from ``eigh`` of the smaller Gram matrix,
+    only the k eigenvalues above tau^2 are kept, and the result is
     (m V_k) * (1 - tau/S_k) * V_k^T, which matches the SVD to within
     1e-10 * sigma_1 for tau >= ``_GRAM_MIN_REL_TAU`` * sigma_1; a smaller
-    tau takes the SVD.  Raises :class:`NumericalError` when either
+    tau takes a full SVD.  Raises :class:`NumericalError` when either
     decomposition fails or yields non-finite values.
     """
     tau = _check_tau(tau)
     m = np.asarray(m, dtype=np.float64)
-    if min(m.shape) >= _GRAM_MIN_DIM:
-        wide = m.shape[0] < m.shape[1]
-        out = _svt_gram(m.T if wide else m, tau)
-        if out is not None:
-            return out.T if wide else out
+    wide = m.shape[0] < m.shape[1]
+    out = _svt_gram(m.T if wide else m, tau)
+    if out is not None:
+        return out.T if wide else out
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -77,7 +73,7 @@ def _svt_gram(m: np.ndarray, tau: float) -> np.ndarray | None:
     # eigh returns NaN where the SVD would raise, so check here
     if not np.isfinite(w).all():
         raise NumericalError("non-finite eigenvalue inside singular value thresholding")
-    if tau < _GRAM_MIN_REL_TAU * np.sqrt(max(w[-1], 0.0)):
+    if tau < _GRAM_MIN_REL_TAU * np.sqrt(w.max(initial=0.0)):
         return None
     keep = w > tau * tau
     v = v[:, keep]

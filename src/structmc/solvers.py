@@ -20,7 +20,10 @@ S = P_O(M) - A substituted out, ||S||_1 is the L1 data term on O plus the
 a-term on Oc.
 
 All five share one engine, a scaled two-block ADMM on the split A = Z
-(Boyd et al. 2011, sections 3 and 7) with residual-balanced penalty.  One
+(Boyd et al. 2011, sections 3 and 7) with residual-balanced penalty.  The
+balancing stops after ``_MAX_PENALTY_CHANGES`` changes, so the penalty is
+eventually fixed, as the convergence theory assumes (Boyd et al. 2011,
+section 3.4.1); an uncapped penalty can cycle without end.  One
 block is singular value thresholding, the other one entrywise step: on O it
 overwrites with the observations (exact), blends toward them (quad) or
 soft-thresholds the residual (l1); on Oc it soft-thresholds by a/penalty
@@ -92,6 +95,8 @@ NUMERICAL_FAILURE = "numerical-failure"
 
 # singular values below this (relative to sigma_max) count as zero in rank reports
 _RANK_REL_CUTOFF = 1e-6
+# residual balancing changes the penalty at most this many times per solve
+_MAX_PENALTY_CHANGES = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +142,10 @@ class SolverConfig:
     """ADMM controls.
 
     Tolerances are absolute on the Frobenius norms of the primal and dual
-    residuals, scaled by sqrt(n1*n2).  The penalty is adapted by
-    residual balancing (x2 / /2 when one residual exceeds 10x the other).
+    residuals, scaled by sqrt(n1*n2).  The penalty starts at
+    ``admm_penalty`` and is adapted by residual balancing (x2 / /2 when one
+    residual exceeds 10x the other) at most ``_MAX_PENALTY_CHANGES`` (20)
+    times per solve; after that it stays fixed.
     """
 
     max_iters: int = 5000
@@ -162,6 +169,8 @@ class SolveResult:
     ``completed`` satisfies the formulation's hard constraint by
     construction where one exists (exact observation match for
     nnm-exact/nnm-reg).  ``sparse`` is populated only for rpca-restricted.
+    ``penalty_changes`` counts the times residual balancing changed the
+    penalty.
     """
 
     completed: np.ndarray
@@ -171,6 +180,7 @@ class SolveResult:
     dual_residual: float
     status: str
     rank_estimate: int
+    penalty_changes: int = 0
     primal_history: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
     dual_history: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
     sparse: np.ndarray | None = field(repr=False, default=None)
@@ -225,7 +235,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _result(problem, completed, status, iterations, rnorm, snorm, rhist, dhist, sparse=None):
+def _result(problem, completed, status, iterations, rnorm, snorm, rhist, dhist, sparse=None,
+            penalty_changes=0):
     completed = _freeze(completed)
     if sparse is not None:
         sparse = _freeze(sparse)
@@ -244,6 +255,7 @@ def _result(problem, completed, status, iterations, rnorm, snorm, rhist, dhist, 
         dual_residual=snorm,
         status=status,
         rank_estimate=rank,
+        penalty_changes=penalty_changes,
         primal_history=_freeze(np.asarray(rhist)),
         dual_history=_freeze(np.asarray(dhist)),
         sparse=sparse,
@@ -292,7 +304,7 @@ def solve(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveR
     ptol, dtol = _tolerances(cfg, problem.shape)
     rhist, dhist = [], []
     status = MAX_ITERS
-    it = 0
+    it = changes = 0
     rnorm = snorm = float("inf")
     try:
         for it in range(1, cfg.max_iters + 1):
@@ -308,14 +320,17 @@ def solve(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveR
             if rnorm <= ptol and snorm <= dtol:
                 status = CONVERGED
                 break
-            pen, u = _balance_penalty(pen, u, rnorm, snorm)
+            if changes < _MAX_PENALTY_CHANGES:
+                new_pen, u = _balance_penalty(pen, u, rnorm, snorm)
+                changes += new_pen != pen
+                pen = new_pen
     except NumericalError:
         status = NUMERICAL_FAILURE
     fit = _FORMS[problem.formulation][0]
     low_rank, entrywise = (z, a) if fit == "quad" else (a, z)
     completed = entrywise if fit == "exact" else low_rank
     sparse = y - entrywise if fit == "l1" else None
-    return _result(problem, completed, status, it, rnorm, snorm, rhist, dhist, sparse)
+    return _result(problem, completed, status, it, rnorm, snorm, rhist, dhist, sparse, changes)
 
 
 def solve_rpca_restricted(
@@ -346,17 +361,19 @@ def _oracle_objective(problem: CompletionProblem):
     For the exactly-constrained formulations the observed entries are pinned
     and only the unobserved ones vary; for rpca-restricted the sparse block
     is substituted out via S = P_O(M) - A.  Returns (fun, fun_batch, pack,
-    n_free) where pack maps a free-entry vector to the full candidate matrix
-    and fun_batch evaluates a (N, n_free) stack at once.  The search
-    evaluates the objective tens of thousands of times, so masks and
-    projections are precomputed here rather than inside the closures.
+    n_free) where pack maps a free-entry vector to the full candidate matrix,
+    fun evaluates one vector on its matrix directly and fun_batch evaluates
+    a (N, n_free) stack at once.  The search evaluates the objective tens of
+    thousands of times, so masks and projections are precomputed here rather
+    than inside the closures.
     """
     y = project(problem.observed_values, problem.mask)
     lookup = problem.mask.lookup
     unobserved = ~lookup
     alpha, rho = problem.alpha, problem.rho
     shape = problem.shape
-    svdvals = np.linalg.svd  # bound once; supports batched (N, r, c) input
+    # bound once; each objective below takes one matrix or an (N, r, c) stack
+    svdvals = np.linalg.svd
 
     if problem.formulation in ("nnm-exact", "nnm-reg"):
         free = np.argwhere(unobserved)
@@ -373,14 +390,17 @@ def _oracle_objective(problem: CompletionProblem):
             a[:, rows_idx, cols_idx] = xs
             return a
 
-        def fun_batch(xs):
-            vals = svdvals(pack_batch(xs), compute_uv=False).sum(axis=1)
+        def objective(a, xs):
+            vals = svdvals(a, compute_uv=False).sum(axis=-1)
             if problem.formulation == "nnm-reg":
-                vals = vals + alpha * np.abs(xs).sum(axis=1)
+                vals = vals + alpha * np.abs(xs).sum(axis=-1)
             return vals
 
+        def fun_batch(xs):
+            return objective(pack_batch(xs), xs)
+
         def fun(x):
-            return float(fun_batch(np.atleast_2d(x))[0])
+            return float(objective(pack(x), x))
 
         return fun, fun_batch, pack, len(free)
 
@@ -390,31 +410,32 @@ def _oracle_objective(problem: CompletionProblem):
     def pack_batch(xs):
         return np.asarray(xs, dtype=np.float64).reshape(len(xs), *shape)
 
+    entries = (-2, -1)
     if problem.formulation == "rpca-restricted":
 
-        def fun_batch(xs):
-            a = pack_batch(xs)
-            nuc = svdvals(a, compute_uv=False).sum(axis=1)
-            return nuc + alpha * np.abs(y - a).sum(axis=(1, 2))
+        def objective(a):
+            nuc = svdvals(a, compute_uv=False).sum(axis=-1)
+            return nuc + alpha * np.abs(y - a).sum(axis=entries)
 
     elif problem.formulation == "nnm-noisy":
 
-        def fun_batch(xs):
-            a = pack_batch(xs)
-            fit_sq = (np.where(lookup, y - a, 0.0) ** 2).sum(axis=(1, 2))
-            return 0.5 * fit_sq + rho * svdvals(a, compute_uv=False).sum(axis=1)
+        def objective(a):
+            fit_sq = (np.where(lookup, y - a, 0.0) ** 2).sum(axis=entries)
+            return 0.5 * fit_sq + rho * svdvals(a, compute_uv=False).sum(axis=-1)
 
     else:  # nnm-noisy-reg
 
-        def fun_batch(xs):
-            a = pack_batch(xs)
-            fit_sq = (np.where(lookup, y - a, 0.0) ** 2).sum(axis=(1, 2))
-            nuc = svdvals(a, compute_uv=False).sum(axis=1)
-            l1 = np.abs(np.where(unobserved, a, 0.0)).sum(axis=(1, 2))
+        def objective(a):
+            fit_sq = (np.where(lookup, y - a, 0.0) ** 2).sum(axis=entries)
+            nuc = svdvals(a, compute_uv=False).sum(axis=-1)
+            l1 = np.abs(np.where(unobserved, a, 0.0)).sum(axis=entries)
             return 0.5 * fit_sq + rho * nuc + alpha * l1
 
+    def fun_batch(xs):
+        return objective(pack_batch(xs))
+
     def fun(x):
-        return float(fun_batch(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0])
+        return float(objective(pack(x)))
 
     return fun, fun_batch, pack, shape[0] * shape[1]
 

@@ -49,6 +49,7 @@ class TestComplete:
         diag = json.loads((tmp_path / "out.csv.diag.json").read_text())
         assert diag["status"] == "converged"
         assert diag["observed"] == 4
+        assert 0 <= diag["penalty_changes"] <= diag["iterations"]
 
     def test_one_missing_cell_completes_to_one(self, tmp_path):
         src = tmp_path / "m.csv"

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -142,6 +144,22 @@ class TestRunCell:
         wide = small_grid(zero_rates=(0.1, 0.3, 0.5), nonzero_rates=(0.2, 0.8))
         assert run_cell(narrow, (0.3, 0.8), 1) == run_cell(wide, (0.3, 0.8), 1)
 
+    def test_trend_grid_baseline_converges_under_penalty_cap(self):
+        # demos/configs/trend_cells.ini, cell (0.9, 0.1), trial 4: with
+        # uncapped residual balancing the nnm-exact baseline cycled its
+        # penalty 156 times and stopped at the 5000-iteration cap
+        grid = ExperimentGrid(
+            zero_rates=(0.1, 0.9),
+            nonzero_rates=(0.1, 0.9),
+            alphas=ALPHAS,
+            trials=10,
+            generator=GeneratorSpec(30, 30, 2, 0.3, 0.5),
+            base_seed=20240601,
+        )
+        rec = run_cell(grid, (0.9, 0.1), 4)
+        assert rec.status_baseline == "converged"
+        assert rec.status_reg == "converged"
+
 
 class TestRunGrid:
     def test_single_cell_table_matches_record(self):
@@ -257,7 +275,24 @@ class TestSolverConfigThreading:
         assert rec.status_baseline == "max-iters"
 
 
+def _blas_thread_vars(_):
+    # a spawned worker loaded numpy after these variables were set; a forked
+    # one inherits the parent's BLAS threads whatever they say
+    start = multiprocessing.get_start_method(allow_none=True)
+    return (start, *(os.environ.get(name) for name in harness._WORKER_BLAS_THREADS))
+
+
 class TestSweepExecutor:
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        unset, kept = harness._WORKER_BLAS_THREADS
+        monkeypatch.delenv(unset, raising=False)
+        monkeypatch.setenv(kept, "3")
+        tasks = [((0.3, 0.8), 0), ((0.3, 0.8), 1)]
+        seen = harness._run_tasks(tasks, _blas_thread_vars, [None, None], 2, True)
+        assert seen == [("spawn", "1", "3"), ("spawn", "1", "3")]
+        assert unset not in os.environ
+        assert os.environ[kept] == "3"
+
     def test_unexpected_trial_error_keeps_finished_records(self, monkeypatch):
         real_solve = harness.solve
         calls = []

@@ -232,8 +232,9 @@ def _gram_instance(seed, shape, scale_exp, graded=False):
 
 GRAM_PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 gram_shapes = st.one_of(
-    st.integers(100, 160).map(lambda n: (n, n)),
-    st.tuples(st.integers(100, 160), st.integers(100, 160)),
+    st.integers(1, 160).map(lambda n: (n, n)),
+    st.tuples(st.integers(1, 99), st.integers(1, 99)),
+    st.tuples(st.integers(1, 160), st.integers(1, 160)),
 )
 gram_cases = dict(
     seed=st.integers(0, 2**31 - 1),
@@ -244,13 +245,17 @@ gram_cases = dict(
 
 
 class TestSvtGramRoute:
-    # from _GRAM_MIN_DIM rows and columns svt thresholds from eigh of the Gram matrix
+    # at every size svt thresholds from eigh of the Gram matrix unless tau is tiny
 
     @GRAM_PROPERTY
     @given(**gram_cases, log_rel_tau=st.floats(-5.0, float(np.log10(2.0))))
     @example(seed=1, shape=(160, 100), scale_exp=0.0, graded=False, log_rel_tau=-1.0)
     @example(seed=2, shape=(100, 160), scale_exp=0.0, graded=True, log_rel_tau=-5.0)
     @example(seed=3, shape=(130, 130), scale_exp=2.0, graded=False, log_rel_tau=-0.3)
+    @example(seed=4, shape=(30, 30), scale_exp=0.0, graded=False, log_rel_tau=-1.0)
+    @example(seed=5, shape=(50, 30), scale_exp=-3.0, graded=True, log_rel_tau=-5.0)
+    @example(seed=6, shape=(30, 50), scale_exp=3.0, graded=False, log_rel_tau=-0.3)
+    @example(seed=7, shape=(1, 7), scale_exp=0.0, graded=False, log_rel_tau=-2.0)
     def test_matches_full_svd(self, seed, shape, scale_exp, graded, log_rel_tau):
         m, sigma1 = _gram_instance(seed, shape, scale_exp, graded)
         tau = 10.0**log_rel_tau * sigma1
@@ -291,3 +296,23 @@ class TestSvtGramRoute:
         m[3, 4] = bad
         with pytest.raises(NumericalError):
             svt(m, 1.0)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (30, 30)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_below_100(self, shape, bad):
+        m, _ = _gram_instance(9, shape, 0.0)
+        m[3, 4] = bad
+        with pytest.raises(NumericalError):
+            svt(m, 1.0)
+
+    @pytest.mark.parametrize("shape", [(30, 30), (50, 30), (30, 50)])
+    def test_no_full_svd_above_tau_guard(self, shape):
+        m, sigma1 = _gram_instance(10, shape, 0.0)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as spy:
+            out = svt(m, 0.1 * sigma1)
+        assert spy.call_count == 0
+        assert frobenius_norm(out - _svd_svt(m, 0.1 * sigma1)) <= 1e-9 * sigma1
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_input(self, shape):
+        assert svt(np.zeros(shape), 1.0).shape == shape

@@ -273,6 +273,35 @@ class TestRpcaRestricted:
         assert abs(res.objective - orc.objective) < 1e-3
 
 
+def _assert_gram_solves_match_svd_solves(monkeypatch, shape):
+    # svt thresholds from the Gram eigendecomposition; the same solves with
+    # the small-tau guard raised to infinity, which forces the full SVD, are
+    # the reference
+    rng = stream(30, "gram-vs-svd")
+    n1, n2 = shape
+    truth = rng.standard_normal((n1, 4)) @ rng.standard_normal((4, n2))
+    noisy = truth + 0.05 * rng.standard_normal(shape)
+    mask = ObservationMask.from_lookup(stream(30, "gram-vs-svd-mask").random(shape) < 0.5)
+    rho = rho_for_noise(n1, n2, mask.size, 0.05)
+    cases = [
+        ("nnm-exact", truth, {}),
+        ("nnm-reg", truth, {"alpha": 0.01}),
+        ("nnm-noisy", noisy, {"rho": rho}),
+        ("nnm-noisy-reg", noisy, {"rho": rho, "alpha": 0.01}),
+        ("rpca-restricted", truth, {"alpha": 0.1}),
+    ]
+    for formulation, m, kwargs in cases:
+        p = CompletionProblem(m, mask, formulation, **kwargs)
+        shipped = solve(p)
+        with monkeypatch.context() as mp:
+            mp.setattr(prox, "_GRAM_MIN_REL_TAU", np.inf)
+            reference = solve(p)
+        assert shipped.status == reference.status == CONVERGED, formulation
+        assert shipped.iterations == reference.iterations, formulation
+        assert np.abs(shipped.completed - reference.completed).max() <= 1e-9, formulation
+        assert shipped.rank_estimate == reference.rank_estimate, formulation
+
+
 class TestSolverContracts:
     @pytest.mark.parametrize("formulation,kwargs", ALL_MODES)
     def test_objective_beats_zero_fill(self, formulation, kwargs):
@@ -297,31 +326,11 @@ class TestSolverContracts:
         assert a.iterations == b.iterations
 
     def test_gram_svt_matches_svd_path_at_120(self, monkeypatch):
-        # at 120x120 svt thresholds from the Gram eigendecomposition; the
-        # same solves with the full SVD forced are the reference
-        rng = stream(30, "gram-vs-svd")
-        n = 120
-        truth = rng.standard_normal((n, 4)) @ rng.standard_normal((4, n))
-        noisy = truth + 0.05 * rng.standard_normal((n, n))
-        mask = ObservationMask.from_lookup(stream(30, "gram-vs-svd-mask").random((n, n)) < 0.5)
-        rho = rho_for_noise(n, n, mask.size, 0.05)
-        cases = [
-            ("nnm-exact", truth, {}),
-            ("nnm-reg", truth, {"alpha": 0.01}),
-            ("nnm-noisy", noisy, {"rho": rho}),
-            ("nnm-noisy-reg", noisy, {"rho": rho, "alpha": 0.01}),
-            ("rpca-restricted", truth, {"alpha": 0.1}),
-        ]
-        for formulation, m, kwargs in cases:
-            p = CompletionProblem(m, mask, formulation, **kwargs)
-            shipped = solve(p)
-            with monkeypatch.context() as mp:
-                mp.setattr(prox, "_GRAM_MIN_DIM", 10**9)
-                reference = solve(p)
-            assert shipped.status == reference.status == CONVERGED, formulation
-            assert shipped.iterations == reference.iterations, formulation
-            assert np.abs(shipped.completed - reference.completed).max() <= 1e-9, formulation
-            assert shipped.rank_estimate == reference.rank_estimate, formulation
+        _assert_gram_solves_match_svd_solves(monkeypatch, (120, 120))
+
+    @pytest.mark.parametrize("shape", [(30, 30), (50, 30)])
+    def test_gram_svt_matches_svd_path_below_100(self, monkeypatch, shape):
+        _assert_gram_solves_match_svd_solves(monkeypatch, shape)
 
     def test_converged_status_means_residuals_below_tol(self):
         m, mask = _random_problem(22)
@@ -357,6 +366,28 @@ class TestSolverContracts:
         res = solve(CompletionProblem(m, mask, "nnm-exact"))
         with pytest.raises(ValueError):
             res.completed[0, 0] = 1.0
+
+    def test_penalty_changes_counted_and_capped(self, monkeypatch):
+        import structmc.solvers as solvers_mod
+
+        m, mask = _random_problem(26)
+        p = CompletionProblem(m, mask, "rpca-restricted", **dict(ALL_MODES)["rpca-restricted"])
+        assert solve(p).penalty_changes == 17
+        calls = []
+        balance = solvers_mod._balance_penalty
+
+        def spy(pen, *args):
+            new_pen, u = balance(pen, *args)
+            calls.append(new_pen != pen)
+            return new_pen, u
+
+        monkeypatch.setattr(solvers_mod, "_balance_penalty", spy)
+        monkeypatch.setattr(solvers_mod, "_MAX_PENALTY_CHANGES", 3)
+        capped = solve(p)
+        assert capped.status == CONVERGED
+        assert capped.penalty_changes == sum(calls) == 3
+        # balancing is not consulted again after the third change
+        assert calls[-1]
 
     def test_svd_failure_reported_as_status(self, monkeypatch):
         import structmc.solvers as solvers_mod
