@@ -2,10 +2,18 @@
 
 A grid cell is a (rate_zero, rate_nonzero) sampling pair.  Each trial draws
 a fresh ground truth and mask, solves the baseline formulation once and the
-regularized one once per candidate alpha, and keeps the alpha with the
-smallest recovery error (ties break toward the smaller alpha).  Alpha
+regularized one once per distinct candidate alpha, and keeps the alpha with
+the smallest recovery error (ties break toward the smaller alpha).  Alpha
 selection deliberately uses the ground truth; the protocol reports the best
 the regularizer could do, not a cross-validated estimate.
+
+The regularized solves walk the regularization path (Mazumder, Hastie &
+Tibshirani, JMLR 2010): in ascending alpha, the first starts from the
+baseline's final ADMM state and each later one from the previous solve's,
+while a solve that did not converge hands on nothing, so the next starts
+cold.  A warm start stops at a different point within the solver tolerance,
+so an error can move by about ``_exact_tol``, and between alphas whose
+errors are that close the pick can change.
 
 Seed schedule: every draw is keyed by
 ``(base_seed, rate_zero, rate_nonzero, trial, purpose, attempt)`` folded
@@ -203,7 +211,13 @@ def _exact_tol(solver_cfg: SolverConfig, shape) -> float:
 
 
 def _score_cell(truth, observed, mask, alphas, noise_sigma, solver_cfg):
-    """Solve baseline and per-alpha regularized problems, pick the best alpha."""
+    """Solve baseline and per-alpha regularized problems, pick the best alpha.
+
+    The regularized problems are solved in ascending alpha, each
+    warm-started from the previous result, the baseline's first (see the
+    module docstring); errors, the argmin and its tie-break still follow
+    the configured order of ``alphas``.
+    """
     if noise_sigma > 0:
         rho = rho_for_noise(truth.shape[0], truth.shape[1], mask.size, noise_sigma)
         baseline = CompletionProblem(observed, mask, "nnm-noisy", rho=rho)
@@ -214,11 +228,13 @@ def _score_cell(truth, observed, mask, alphas, noise_sigma, solver_cfg):
         reg_formulation = "nnm-reg"
     base_res = solve(baseline, solver_cfg)
     err_nnm = frobenius_norm(base_res.completed - truth)
-    per_alpha = []
-    for alpha in alphas:
+    # solve() ignores a start that did not converge
+    by_alpha = {}
+    start = base_res
+    for alpha in sorted(set(alphas)):
         problem = CompletionProblem(observed, mask, reg_formulation, alpha=alpha, rho=rho)
-        res = solve(problem, solver_cfg)
-        per_alpha.append((frobenius_norm(res.completed - truth), alpha, res))
+        start = by_alpha[alpha] = solve(problem, solver_cfg, _start=start)
+    per_alpha = [(frobenius_norm(by_alpha[a].completed - truth), a, by_alpha[a]) for a in alphas]
     best_err, best_alpha, best_res = min(per_alpha, key=lambda t: (t[0], t[1]))
     ratio = ratio_from_errors(best_err, err_nnm, _exact_tol(solver_cfg, truth.shape))
     return dict(

@@ -170,7 +170,8 @@ class SolveResult:
     construction where one exists (exact observation match for
     nnm-exact/nnm-reg).  ``sparse`` is populated only for rpca-restricted.
     ``penalty_changes`` counts the times residual balancing changed the
-    penalty.
+    penalty.  ``_state`` is the loop's final (A, Z, U, penalty), from which
+    a later solve may start.
     """
 
     completed: np.ndarray
@@ -184,6 +185,7 @@ class SolveResult:
     primal_history: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
     dual_history: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
     sparse: np.ndarray | None = field(repr=False, default=None)
+    _state: tuple | None = field(repr=False, default=None)
 
 
 def estimate_rank(m: np.ndarray, rel_cutoff: float = _RANK_REL_CUTOFF) -> int:
@@ -236,7 +238,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _result(problem, completed, status, iterations, rnorm, snorm, rhist, dhist, sparse=None,
-            penalty_changes=0):
+            penalty_changes=0, state=None):
     completed = _freeze(completed)
     if sparse is not None:
         sparse = _freeze(sparse)
@@ -259,6 +261,7 @@ def _result(problem, completed, status, iterations, rnorm, snorm, rhist, dhist, 
         primal_history=_freeze(np.asarray(rhist)),
         dual_history=_freeze(np.asarray(dhist)),
         sparse=sparse,
+        _state=state,
     )
 
 
@@ -288,19 +291,27 @@ def _prox_pair(problem: CompletionProblem, y: np.ndarray):
     return (entrywise, low_rank) if fit == "quad" else (low_rank, entrywise)
 
 
-def solve(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveResult:
+def solve(
+    problem: CompletionProblem, cfg: SolverConfig | None = None, *, _start: SolveResult | None = None
+) -> SolveResult:
     """Solve any formulation with the scaled two-block ADMM on A = Z.
 
     Starts from Z = A = P_O(M), U = 0; which block is returned is set out in
     the module docstring.  For rpca-restricted the sparse component rides
-    along on ``result.sparse``.
+    along on ``result.sparse``.  ``_start``, a converged result of a problem
+    with the same shape and data term, starts the loop from that result's
+    final (A, Z, U, penalty) instead (a warm start); a ``_start`` that did
+    not converge is ignored.
     """
     cfg = cfg or SolverConfig()
     y = project(problem.observed_values, problem.mask)
     x_step, z_step = _prox_pair(problem, y)
-    a = z = y
-    u = np.zeros_like(z)
-    pen = cfg.admm_penalty
+    if _start is not None and _start.status == CONVERGED:
+        a, z, u, pen = _start._state
+    else:
+        a = z = y
+        u = np.zeros_like(z)
+        pen = cfg.admm_penalty
     ptol, dtol = _tolerances(cfg, problem.shape)
     rhist, dhist = [], []
     status = MAX_ITERS
@@ -330,7 +341,8 @@ def solve(problem: CompletionProblem, cfg: SolverConfig | None = None) -> SolveR
     low_rank, entrywise = (z, a) if fit == "quad" else (a, z)
     completed = entrywise if fit == "exact" else low_rank
     sparse = y - entrywise if fit == "l1" else None
-    return _result(problem, completed, status, it, rnorm, snorm, rhist, dhist, sparse, changes)
+    return _result(problem, completed, status, it, rnorm, snorm, rhist, dhist, sparse, changes,
+                   (a, z, u, pen))
 
 
 def solve_rpca_restricted(
@@ -472,13 +484,15 @@ def _polytope_minimize(fun, starts, maxfev, restarts):
 
     The nuclear norm and L1 terms are nonsmooth, and their minimizers sit in
     kinked corners where a single Nelder-Mead run stalls.  Each start
-    therefore walks the whole delta ladder: large simplexes explore, small
-    ones crawl into the corner (and terminate quickly by xatol when there
-    is nothing left to gain).
+    therefore walks down the delta ladder: large simplexes explore, small
+    ones crawl into the corner.  A start leaves its ladder after the first
+    restart that gains less than ``fatol``: the smaller simplexes below it
+    only re-confirm the point.
     """
     import scipy.optimize  # only the oracle needs it; keeps it out of CLI start-up
 
     deltas = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6)
+    fatol = 1e-11
     best_x, best_f = None, np.inf
     evals = 0
     for x0 in starts:
@@ -495,13 +509,16 @@ def _polytope_minimize(fun, starts, maxfev, restarts):
                 options={
                     "initial_simplex": simplex,
                     "xatol": 1e-9,
-                    "fatol": 1e-11,
+                    "fatol": fatol,
                     "maxfev": maxfev,
                 },
             )
             evals += res.nfev
-            if res.fun < f:
+            gain = f - res.fun
+            if gain > 0:
                 x, f = res.x, res.fun
+            if gain < fatol:
+                break
         if f < best_f:
             best_x, best_f = x, f
     # the L1 kinks are axis-aligned, so a compass polish finishes the crawl
@@ -521,7 +538,7 @@ def _polytope_minimize(fun, starts, maxfev, restarts):
                 options={
                     "initial_simplex": simplex,
                     "xatol": 1e-9,
-                    "fatol": 1e-11,
+                    "fatol": fatol,
                     "maxfev": maxfev,
                 },
             )

@@ -160,6 +160,43 @@ class TestRunCell:
         assert rec.status_baseline == "converged"
         assert rec.status_reg == "converged"
 
+    def test_alpha_path_is_warm_started_in_ascending_order(self, monkeypatch):
+        real_solve = harness.solve
+        seen = []
+
+        def spy(problem, cfg=None, **kwargs):
+            res = real_solve(problem, cfg, **kwargs)
+            seen.append((problem, kwargs.get("_start"), res))
+            return res
+
+        monkeypatch.setattr(harness, "solve", spy)
+        grid = ExperimentGrid(
+            zero_rates=(0.1,),
+            nonzero_rates=(0.9,),
+            alphas=ALPHAS,
+            trials=1,
+            generator=GeneratorSpec(30, 30, 2, 0.3, 0.5),
+            base_seed=20240601,
+        )
+        rec = run_cell(grid, (0.1, 0.9), 0)
+        (baseline, _, base_res), *path = seen
+        assert all(res.status == "converged" for _, _, res in seen)
+        assert [p.alpha for p, _, _ in path] == sorted(ALPHAS)
+        starts = [start for _, start, _ in path]
+        assert starts == [base_res] + [res for _, _, res in path[:-1]]
+        assert [a for a, _ in rec.alpha_errors] == list(ALPHAS)
+        # noiseless, so the observed values are the truth
+        truth = baseline.observed_values
+        tol = harness._exact_tol(grid.solver, truth.shape)
+        errors = dict(rec.alpha_errors)
+        cold_iterations = 0
+        for problem, _, res in path:
+            cold = real_solve(problem, grid.solver)
+            cold_iterations += cold.iterations
+            cold_err = np.linalg.norm(cold.completed - truth)
+            assert abs(errors[problem.alpha] - cold_err) <= 2 * tol
+        assert sum(res.iterations for _, _, res in path) < cold_iterations
+
 
 class TestRunGrid:
     def test_single_cell_table_matches_record(self):
@@ -298,11 +335,11 @@ class TestSweepExecutor:
         calls = []
         per_trial = 1 + len(ALPHAS)  # baseline plus one solve per alpha
 
-        def flaky_solve(problem, cfg=None):
+        def flaky_solve(problem, cfg=None, **kwargs):
             calls.append(problem.formulation)
             if len(calls) == per_trial + 1:  # first solve of trial 1
                 raise RuntimeError("solver blew up")
-            return real_solve(problem, cfg)
+            return real_solve(problem, cfg, **kwargs)
 
         monkeypatch.setattr(harness, "solve", flaky_solve)
         result = run_grid(small_grid(trials=3), strict=False)
@@ -312,7 +349,7 @@ class TestSweepExecutor:
         assert result.failures[0, 0] == 1
 
     def test_strict_propagates_unexpected_error(self, monkeypatch):
-        def broken_solve(problem, cfg=None):
+        def broken_solve(problem, cfg=None, **kwargs):
             raise RuntimeError("solver blew up")
 
         monkeypatch.setattr(harness, "solve", broken_solve)

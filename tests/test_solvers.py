@@ -407,6 +407,61 @@ class TestSolverContracts:
                 assert res.sparse.shape == m.shape
 
 
+class TestWarmStart:
+    """``solve(..., _start=previous)``: the harness's regularization path."""
+
+    @pytest.mark.parametrize("formulation,kwargs", ALL_MODES)
+    def test_converged_start_is_a_fixed_point(self, formulation, kwargs):
+        m, mask = _random_problem(31)
+        p = CompletionProblem(m, mask, formulation, **kwargs)
+        cfg = SolverConfig()
+        cold = solve(p, cfg)
+        warm = solve(p, cfg, _start=cold)
+        assert cold.status == warm.status == CONVERGED
+        assert cold.iterations > 2
+        assert warm.iterations <= 2
+        assert warm.penalty_changes == 0
+        # each of at most two steps moves the returned block by about the
+        # dual residual over the penalty
+        tol = cfg.dual_tol * np.sqrt(m.shape[0] * m.shape[1])
+        pen = cold._state[3]
+        assert frobenius_norm(warm.completed - cold.completed) <= 2 * tol / pen
+
+    def test_max_iters_start_is_ignored(self):
+        m, mask = _random_problem(32)
+        p = CompletionProblem(m, mask, "nnm-reg", alpha=0.1)
+        stopped = solve(p, SolverConfig(max_iters=3))
+        assert stopped.status == MAX_ITERS
+        cold = solve(p)
+        warm = solve(p, _start=stopped)
+        assert warm.iterations == cold.iterations
+        assert np.array_equal(warm.completed, cold.completed)
+
+    def test_numerical_failure_start_is_ignored(self, monkeypatch):
+        import structmc.solvers as solvers_mod
+
+        real_svt = solvers_mod.svt
+        calls = []
+
+        def nan_once_svt(v, tau):
+            calls.append(tau)
+            return np.full_like(v, np.nan) if len(calls) == 5 else real_svt(v, tau)
+
+        m, mask = _random_problem(33)
+        p = CompletionProblem(m, mask, "nnm-reg", alpha=0.1)
+        with monkeypatch.context() as mp:
+            mp.setattr(solvers_mod, "svt", nan_once_svt)
+            failed = solve(p)
+        assert failed.status == "numerical-failure"
+        # the failed solve's final state is not finite
+        assert not np.isfinite(failed._state[0]).all()
+        cold = solve(p)
+        warm = solve(p, _start=failed)
+        assert warm.status == CONVERGED
+        assert warm.iterations == cold.iterations
+        assert np.array_equal(warm.completed, cold.completed)
+
+
 class TestOracle:
     def test_fully_observed_returns_observations(self):
         m, _ = _random_problem(30, shape=(3, 3))
