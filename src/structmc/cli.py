@@ -15,7 +15,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .dataio import (
@@ -135,6 +134,8 @@ def cmd_complete(args) -> int:
         "objective": result.objective,
         "iterations": result.iterations,
         "penalty_changes": result.penalty_changes,
+        "accelerated_steps": result.accelerated_steps,
+        "rejected_steps": result.rejected_steps,
         "primal_residual": result.primal_residual,
         "dual_residual": result.dual_residual,
         "rank_estimate": result.rank_estimate,
@@ -201,6 +202,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     config = load_config(args.config)
     os.makedirs(args.outdir, exist_ok=True)
     started = time.monotonic()
@@ -221,6 +224,8 @@ def cmd_benchmark(args) -> int:
         os.path.join(args.outdir, "heatmap_alpha.csv"),
         spec.zero_rates, spec.nonzero_rates, result.mean_alpha,
     )
+    import scipy  # only the manifest's version string needs it; keeps it out of start-up
+
     n_nonconverged = sum(
         1 for r in result.records
         if r.error is None and (r.status_baseline, r.status_reg) != (CONVERGED, CONVERGED)

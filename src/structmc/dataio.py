@@ -80,13 +80,20 @@ def _write_rows(path, rows) -> None:
 
 
 def emit_matrix_csv(path, m, mask: ObservationMask | None = None) -> None:
-    """Write a matrix as headerless CSV; masked-out entries become empty cells."""
+    """Write a matrix as headerless CSV; masked-out entries become empty cells.
+
+    The bytes are those of :func:`_write_rows`: float cells need no quoting,
+    so each row is its cells joined by commas, except that a row whose only
+    cell is empty is written ``""`` as csv does.
+    """
     m = np.asarray(m, dtype=np.float64)
     keep = mask.lookup if mask is not None else np.ones(m.shape, dtype=bool)
-    _write_rows(path, (
-        [fmt_float(v) if k else "" for v, k in zip(row, keep_row)]
+    lines = (
+        ",".join([repr(v) if k else "" for v, k in zip(row, keep_row)])
         for row, keep_row in zip(m.tolist(), keep.tolist())
-    ))
+    )
+    with open(path, "w", newline="") as fh:
+        fh.writelines((line or '""') + "\n" for line in lines)
 
 
 def ingest_matrix_csv(path, policy: str = "strict"):
@@ -144,7 +151,7 @@ def emit_mask_csv(path, mask: ObservationMask) -> None:
 
 def ingest_mask_csv(path, rows: int, cols: int) -> ObservationMask:
     """Read an index-pair CSV into a mask for a ``rows x cols`` matrix."""
-    pairs = []
+    flat = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for line_no, raw in enumerate(reader):
@@ -153,13 +160,13 @@ def ingest_mask_csv(path, rows: int, cols: int) -> ObservationMask:
             if len(raw) != 2:
                 raise CsvParseError(path, line_no, 0, f"expected 'i,j', got {raw!r}")
             try:
-                pairs.append((int(raw[0]), int(raw[1])))
+                flat += (int(raw[0]), int(raw[1]))
             except ValueError:
                 raise CsvParseError(
                     path, line_no, 0, f"indices must be integers, got {raw!r}"
                 ) from None
     try:
-        return ObservationMask(rows, cols, pairs)
+        return ObservationMask(rows, cols, np.array(flat).reshape(-1, 2))
     except ValueError as exc:
         raise CsvParseError(path, -1, -1, str(exc)) from exc
 

@@ -29,9 +29,7 @@ import contextlib
 import functools
 import logging
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -397,12 +395,18 @@ def _run_tasks(tasks, worker, payloads, workers, strict):
     BLAS thread each unless the caller set the thread-count variables.
     With ``strict=False`` any exception a task raises, including a broken
     worker pool, becomes that task's failure record, and every finished
-    record is kept.
+    record is kept.  Raises ValueError for ``workers`` < 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     records = []
     pool = None
     try:
         if workers > 1:
+            # only pooled sweeps need these; keeps them out of start-up
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             # spawned pools start their workers on submit, so the limit
             # stays set until every task is submitted
             with _one_blas_thread_per_process():

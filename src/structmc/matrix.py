@@ -54,16 +54,22 @@ class ObservationMask:
         cols = operator.index(cols)
         if rows < 1 or cols < 1:
             raise ValueError(f"mask dimensions must be positive, got ({rows}, {cols})")
-        lookup = np.zeros((rows, cols), dtype=bool)
-        for pair in observed:
-            i, j = pair
-            i = operator.index(i)
-            j = operator.index(j)
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"index ({i}, {j}) outside a {rows}x{cols} mask")
-            if lookup[i, j]:
-                raise ValueError(f"duplicate index pair ({i}, {j})")
-            lookup[i, j] = True
+        idx = _index_pairs(observed)
+        i, j = idx[:, 0], idx[:, 1]
+        outside = np.asarray((i < 0) | (i >= rows) | (j < 0) | (j >= cols), dtype=bool)
+        flat = np.where(outside, -1, i * cols + j).astype(np.intp)
+        repeat = ~outside
+        repeat[np.unique(flat, return_index=True)[1]] = False
+        bad = np.flatnonzero(outside | repeat)
+        if bad.size:
+            k = bad[0]
+            pair = f"({int(i[k])}, {int(j[k])})"
+            if outside[k]:
+                raise ValueError(f"index {pair} outside a {rows}x{cols} mask")
+            raise ValueError(f"duplicate index pair {pair}")
+        lookup = np.zeros(rows * cols, dtype=bool)
+        lookup[flat] = True
+        lookup = lookup.reshape(rows, cols)
         lookup.setflags(write=False)
         self._rows = rows
         self._cols = cols
@@ -138,6 +144,26 @@ class ObservationMask:
 
     def __repr__(self) -> str:
         return f"ObservationMask({self._rows}x{self._cols}, observed={self.size})"
+
+
+def _index_pairs(observed) -> np.ndarray:
+    """The (n, 2) integer array of the index pairs ``observed``.
+
+    Signed-integer arrays and sequences of int pairs convert in one step; any
+    other input goes pair by pair through ``operator.index``, which raises
+    TypeError for a non-integer index, into an array of Python ints, which
+    also holds indices too large for int64.
+    """
+    if not isinstance(observed, np.ndarray):
+        observed = list(observed)
+    try:
+        idx = np.asarray(observed)
+    except ValueError:  # ragged
+        idx = None
+    if idx is not None and idx.dtype.kind == "i" and idx.ndim == 2 and idx.shape[1] == 2:
+        return idx.astype(np.int64, copy=False)
+    idx = np.array([(operator.index(i), operator.index(j)) for i, j in observed], dtype=object)
+    return idx.reshape(-1, 2)
 
 
 def _check_shape(m: np.ndarray, mask: ObservationMask) -> None:

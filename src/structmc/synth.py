@@ -16,7 +16,6 @@ Draw order is part of the contract and is documented on each operation.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +47,8 @@ def _splitmix64(x: int) -> int:
 
 def _fold(word: int, value) -> int:
     if isinstance(value, str):
+        import hashlib  # only string tags need it; keeps it out of start-up
+
         value = int.from_bytes(hashlib.blake2s(value.encode()).digest()[:8], "big")
     elif isinstance(value, float):
         value = int(np.float64(value).view(np.uint64))

@@ -50,6 +50,7 @@ class TestComplete:
         assert diag["status"] == "converged"
         assert diag["observed"] == 4
         assert 0 <= diag["penalty_changes"] <= diag["iterations"]
+        assert 0 <= diag["rejected_steps"] <= diag["accelerated_steps"] <= diag["iterations"]
 
     def test_one_missing_cell_completes_to_one(self, tmp_path):
         src = tmp_path / "m.csv"
@@ -272,6 +273,17 @@ class TestBenchmark:
         assert (out1 / "heatmap_ratio.csv").read_bytes() == (out2 / "heatmap_ratio.csv").read_bytes()
         assert (out1 / "heatmap_alpha.csv").read_bytes() == (out2 / "heatmap_alpha.csv").read_bytes()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_non_positive_workers_is_usage_error(self, tmp_path, workers, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(SYNTH_CONFIG)
+        outdir = tmp_path / "out"
+        code = run_cli("benchmark", "--config", str(cfg), "--outdir", str(outdir),
+                       "--workers", workers)
+        assert code == 2
+        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_real_matrix_run(self, tmp_path):
         truth = tmp_path / "truth.csv"
         rows = ["0,1,2,0,3", "4,0,1,2,0", "0,2,0,1,4", "3,0,2,0,1", "1,2,0,4,0", "0,0,3,1,2"]
@@ -362,6 +374,20 @@ class TestTopLevel:
     def test_version_exits_zero(self, capsys):
         assert run_cli("--version") == 0
         assert "structmc" in capsys.readouterr().out
+
+    def test_start_up_leaves_unused_modules_unloaded(self):
+        # hashlib serves only string seed tags, multiprocessing only pooled
+        # sweeps and scipy only the benchmark manifest's version string
+        script = ("import sys, structmc.cli; print('LOADED', [name for name in "
+                  "('hashlib', 'multiprocessing', 'concurrent.futures', 'scipy') "
+                  "if name in sys.modules])")
+        src = str(Path(structmc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            path for path in (src, os.environ.get("PYTHONPATH")) if path))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "LOADED []"
 
     def test_complete_leaves_heavy_scipy_modules_unloaded(self, tmp_path):
         # scipy.optimize serves only the oracle and scipy.special only noise

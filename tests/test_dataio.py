@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,16 @@ class TestMatrixCsv:
         emit_matrix_csv(path, np.array([[1.0, 2.0], [3.0, 4.0]]), mask)
         assert path.read_text() == "1.0,\n,4.0\n"
 
+    def test_emit_single_column_hole_is_quoted(self, tmp_path):
+        # as csv writes it: an empty line would read back as no row at all
+        mask = ObservationMask(3, 1, [(0, 0), (2, 0)])
+        path = tmp_path / "column.csv"
+        emit_matrix_csv(path, np.array([[1.5], [2.0], [-0.0]]), mask)
+        assert path.read_text() == '1.5\n""\n-0.0\n'
+        back, inferred = ingest_matrix_csv(path, policy="mask")
+        assert back.shape == (3, 1)
+        assert inferred == mask
+
 
 class TestMaskCsv:
     def test_round_trip(self, tmp_path):
@@ -124,6 +135,17 @@ class TestMaskCsv:
         path = tmp_path / "mask.csv"
         path.write_text("5,0\n")
         with pytest.raises(CsvParseError):
+            ingest_mask_csv(path, 2, 2)
+
+    @pytest.mark.parametrize("text,message", [
+        ("0,0\n1,1\n0,0\n9,9\n", "duplicate index pair (0, 0)"),
+        ("0,0\n9,9\n0,0\n", "index (9, 9) outside a 2x2 mask"),
+        ("0,1\n\n99999999999999999999999,0\n", "index (99999999999999999999999, 0) outside"),
+    ])
+    def test_first_bad_pair_named(self, tmp_path, text, message):
+        path = tmp_path / "mask.csv"
+        path.write_text(text)
+        with pytest.raises(CsvParseError, match=re.escape(message)):
             ingest_mask_csv(path, 2, 2)
 
 

@@ -160,6 +160,29 @@ class TestRunCell:
         assert rec.status_baseline == "converged"
         assert rec.status_reg == "converged"
 
+    def test_slowest_trend_baseline_is_accelerated(self, monkeypatch):
+        # demos/configs/trend_cells.ini, cell (0.9, 0.1), trial 1: the
+        # slowest solve of the sweep, 3213 iterations without acceleration
+        real_solve = harness.solve
+        seen = []
+
+        def spy(problem, cfg=None, **kwargs):
+            seen.append(real_solve(problem, cfg, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(harness, "solve", spy)
+        grid = ExperimentGrid(
+            zero_rates=(0.1, 0.9),
+            nonzero_rates=(0.1, 0.9),
+            alphas=ALPHAS,
+            trials=10,
+            generator=GeneratorSpec(30, 30, 2, 0.3, 0.5),
+            base_seed=20240601,
+        )
+        run_cell(grid, (0.9, 0.1), 1)
+        assert seen[0].status == "converged"
+        assert seen[0].iterations <= 2000
+
     def test_alpha_path_is_warm_started_in_ascending_order(self, monkeypatch):
         real_solve = harness.solve
         seen = []
@@ -303,6 +326,15 @@ class TestRunRealMatrix:
         m = survey_matrix()
         sweep = small_sweep(trials=2)
         assert run_real_matrix(m, sweep, workers=2).records == run_real_matrix(m, sweep).records
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_non_positive_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_grid(small_grid(trials=1), workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_real_matrix(survey_matrix(), small_sweep(trials=1), workers=workers)
 
 
 class TestSolverConfigThreading:

@@ -273,10 +273,8 @@ class TestRpcaRestricted:
         assert abs(res.objective - orc.objective) < 1e-3
 
 
-def _assert_gram_solves_match_svd_solves(monkeypatch, shape):
-    # svt thresholds from the Gram eigendecomposition; the same solves with
-    # the small-tau guard raised to infinity, which forces the full SVD, are
-    # the reference
+def _rank4_problems(shape):
+    """One seeded half-observed rank-4 instance of the given shape, in all five modes."""
     rng = stream(30, "gram-vs-svd")
     n1, n2 = shape
     truth = rng.standard_normal((n1, 4)) @ rng.standard_normal((4, n2))
@@ -290,8 +288,14 @@ def _assert_gram_solves_match_svd_solves(monkeypatch, shape):
         ("nnm-noisy-reg", noisy, {"rho": rho, "alpha": 0.01}),
         ("rpca-restricted", truth, {"alpha": 0.1}),
     ]
-    for formulation, m, kwargs in cases:
-        p = CompletionProblem(m, mask, formulation, **kwargs)
+    return [(f, CompletionProblem(m, mask, f, **kwargs)) for f, m, kwargs in cases]
+
+
+def _assert_gram_solves_match_svd_solves(monkeypatch, shape):
+    # svt thresholds from the Gram eigendecomposition; the same solves with
+    # the small-tau guard raised to infinity, which forces the full SVD, are
+    # the reference
+    for formulation, p in _rank4_problems(shape):
         shipped = solve(p)
         with monkeypatch.context() as mp:
             mp.setattr(prox, "_GRAM_MIN_REL_TAU", np.inf)
@@ -372,7 +376,7 @@ class TestSolverContracts:
 
         m, mask = _random_problem(26)
         p = CompletionProblem(m, mask, "rpca-restricted", **dict(ALL_MODES)["rpca-restricted"])
-        assert solve(p).penalty_changes == 17
+        assert solve(p).penalty_changes == 19
         calls = []
         balance = solvers_mod._balance_penalty
 
@@ -405,6 +409,56 @@ class TestSolverContracts:
             if formulation == "rpca-restricted":
                 # the first svt raises before any A step: the start point is returned
                 assert res.sparse.shape == m.shape
+
+
+class TestAnderson:
+    """Safeguarded Anderson acceleration of the ADMM loop."""
+
+    @pytest.mark.parametrize("shape,counts", [
+        ((30, 30), [851, 540, 408, 468, 47]),
+        ((50, 30), [1647, 894, 218, 297, 64]),
+    ])
+    def test_memory_zero_is_plain_admm(self, monkeypatch, shape, counts):
+        # the iteration counts of the loop before acceleration, in FORMULATIONS order
+        import structmc.solvers as solvers_mod
+
+        monkeypatch.setattr(solvers_mod, "_ANDERSON_MEMORY", 0)
+        results = [solve(p) for _, p in _rank4_problems(shape)]
+        assert [r.iterations for r in results] == counts
+        assert all(r.status == CONVERGED for r in results)
+        assert all(r.accelerated_steps == r.rejected_steps == 0 for r in results)
+
+    def test_acceleration_cuts_iterations(self):
+        results = {f: solve(p) for f, p in _rank4_problems((30, 30))}
+        for formulation, res in results.items():
+            assert res.status == CONVERGED, formulation
+            assert 0 < res.accelerated_steps < res.iterations, formulation
+            assert res.rejected_steps <= res.accelerated_steps, formulation
+        # plain ADMM takes 851 (test_memory_zero_is_plain_admm)
+        assert results["nnm-exact"].iterations < 851 // 2
+
+    def test_rejected_extrapolations_fall_back_to_the_plain_path(self, monkeypatch):
+        # every extrapolated start is pushed far off, so the safeguard rejects
+        # each one and the kept steps are exactly those of plain ADMM
+        import structmc.solvers as solvers_mod
+
+        p = _rank4_problems((30, 30))[1][1]
+        with monkeypatch.context() as mp:
+            mp.setattr(solvers_mod, "_ANDERSON_MEMORY", 0)
+            plain = solve(p)
+        extrapolate = solvers_mod._Anderson.extrapolate
+
+        def bad_extrapolate(self):
+            point = extrapolate(self)
+            return None if point is None else (point[0] + 10.0, point[1])
+
+        monkeypatch.setattr(solvers_mod._Anderson, "extrapolate", bad_extrapolate)
+        res = solve(p)
+        assert res.status == CONVERGED
+        assert res.rejected_steps == res.accelerated_steps > 0
+        assert res.iterations == plain.iterations + res.rejected_steps
+        assert np.array_equal(res.completed, plain.completed)
+        assert len(res.primal_history) == res.iterations
 
 
 class TestWarmStart:
