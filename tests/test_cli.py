@@ -34,6 +34,17 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_python(script):
+    """Run ``script`` in a fresh interpreter on this checkout; its last stdout line."""
+    src = str(Path(structmc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        path for path in (src, os.environ.get("PYTHONPATH")) if path))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 class TestComplete:
     def test_fully_observed_is_identity(self, tmp_path):
         src = tmp_path / "m.csv"
@@ -381,17 +392,11 @@ class TestTopLevel:
         script = ("import sys, structmc.cli; print('LOADED', [name for name in "
                   "('hashlib', 'multiprocessing', 'concurrent.futures', 'scipy') "
                   "if name in sys.modules])")
-        src = str(Path(structmc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            path for path in (src, os.environ.get("PYTHONPATH")) if path))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "LOADED []"
+        assert run_python(script) == "LOADED []"
 
     def test_complete_leaves_heavy_scipy_modules_unloaded(self, tmp_path):
-        # scipy.optimize serves only the oracle and scipy.special only noise
-        # draws; a CLI process that imports either pays for it at start-up
+        # scipy.optimize serves only the oracle; a CLI process that imports it
+        # or scipy.special pays for it at start-up
         script = textwrap.dedent(f"""
             import sys
             from structmc.cli import main
@@ -406,11 +411,24 @@ class TestTopLevel:
             heavy = ("scipy.optimize", "scipy.special", "scipy.linalg")
             print("LOADED", [name for name in heavy if name in sys.modules])
         """)
-        src = str(Path(structmc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            path for path in (src, os.environ.get("PYTHONPATH")) if path))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "LOADED []"
+        assert run_python(script) == "LOADED []"
         assert (tmp_path / "c.csv").exists()
+
+    def test_noisy_sweep_leaves_scipy_special_unloaded(self, tmp_path):
+        # noise draws use a numpy port of Cephes ndtri, not scipy.special
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(SYNTH_CONFIG.replace("nonzero_rates", "noise_sigma = 0.1\nnonzero_rates"))
+        # runs ``python -m structmc benchmark ...`` in the fresh interpreter
+        script = textwrap.dedent(f"""
+            import runpy, sys
+            sys.argv = ["structmc", "benchmark", "--config", {str(cfg)!r},
+                        "--outdir", {str(tmp_path / "out")!r}]
+            try:
+                runpy.run_module("structmc", run_name="__main__", alter_sys=True)
+            except SystemExit as exc:
+                assert exc.code == 0, exc.code
+            print("LOADED", [m for m in ("scipy.special", "scipy.optimize") if m in sys.modules])
+        """)
+        assert run_python(script) == "LOADED []"
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["noise_sigma"] == 0.1

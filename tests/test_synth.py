@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.special
 
 from structmc import (
     GeneratorSpec,
@@ -13,6 +16,7 @@ from structmc import (
     stream,
 )
 from structmc.errors import InvalidSamplingError
+from structmc.synth import _ndtri
 
 
 class TestStream:
@@ -37,6 +41,51 @@ class TestStream:
         z = normal_draws(stream(7, "gauss"), (2000,), 1.0)
         assert abs(z.mean()) < 0.1
         assert abs(z.std() - 1.0) < 0.05
+
+
+def _grid_u(k):
+    """The uniforms ``normal_draws`` feeds the inverse CDF, before the cap."""
+    return (np.asarray(k, dtype=np.int64) + 0.5) * 2.0**-53
+
+
+def _assert_bits_equal(a, b):
+    assert a.dtype == b.dtype == np.float64
+    mismatch = np.flatnonzero(a.view(np.int64) != b.view(np.int64))
+    assert mismatch.size == 0, f"{mismatch.size} draws differ, first at u = {mismatch[:5]}"
+
+
+class TestNdtri:
+    """The numpy port of Cephes ndtri against scipy's compiled Cephes."""
+
+    def test_matches_scipy_on_the_draw_grid(self):
+        k = np.random.default_rng(20240601).integers(0, 1 << 53, size=1_000_000, dtype=np.int64)
+        u = _grid_u(k)
+        _assert_bits_equal(_ndtri(u), scipy.special.ndtri(u))
+
+    def test_matches_scipy_at_both_ends_of_the_grid(self):
+        top = 1 << 53
+        k = np.concatenate([np.arange(5000), np.arange(top - 5001, top - 1)])
+        u = _grid_u(k)
+        _assert_bits_equal(_ndtri(u), scipy.special.ndtri(u))
+
+    def test_matches_scipy_at_the_branch_points(self):
+        # the centre fit ends at exp(-2) on each side, the two tail fits meet
+        # at z = 8, i.e. y = exp(-32)
+        points = [math.exp(-2), 1.0 - math.exp(-2), math.exp(-32)]
+        u = np.array([v for p in points for v in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0))])
+        _assert_bits_equal(_ndtri(u), scipy.special.ndtri(u))
+
+    def test_normal_draws_stay_finite_at_the_top_of_the_grid(self):
+        class Stub:
+            def integers(self, low, high, size, dtype):
+                assert (low, high, size, dtype) == (0, 1 << 53, 3, np.int64)
+                return np.array([0, (1 << 53) - 2, (1 << 53) - 1], dtype=np.int64)
+
+        z = normal_draws(Stub(), (3,), 2.0)
+        assert np.all(np.isfinite(z))
+        # k = 2^53 - 1 gives u = 1.0 uncapped; the other two are unchanged
+        _assert_bits_equal(z[:2], 2.0 * scipy.special.ndtri(_grid_u([0, (1 << 53) - 2])))
+        assert z[2] > z[1] > 0.0
 
 
 class TestGeneratorSpec:
