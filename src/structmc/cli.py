@@ -94,6 +94,10 @@ def _check_mode_flags(args) -> None:
 
 
 def cmd_complete(args) -> int:
+    try:
+        cfg = _solver_config(args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     matrix, inferred = ingest_matrix_csv(args.input, policy="mask")
     if args.mask is not None:
         mask = ingest_mask_csv(args.mask, matrix.shape[0], matrix.shape[1])
@@ -115,7 +119,6 @@ def cmd_complete(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    cfg = _solver_config(args)
     if args.mode == "rpca-restricted":
         result, sparse = solve_rpca_restricted(problem, cfg)
         if args.sparse_out:
@@ -335,6 +338,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"data error: {exc.filename}: {exc.strerror}" if exc.filename is not None
+              else f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except ValueError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,10 +102,55 @@ def ingest_matrix_csv(path, policy: str = "strict"):
 
     Policy "strict": empty cells are an error (complete ground-truth files);
     mask comes back None.  Policy "mask": empty cells are unobserved (0.0
-    placeholder) and the returned mask excludes them.
+    placeholder) and the returned mask excludes them.  numpy parses a file
+    of plain numbers; any other file, and every file with an error, goes
+    through the cell loop, which names the first bad cell.
     """
     if policy not in ("strict", "mask"):
         raise ValueError(f"unknown empty-cell policy {policy!r}")
+    parsed = _parse_plain_matrix(path)
+    if parsed is None or (policy == "strict" and not parsed[1].all()):
+        parsed = _parse_matrix_cells(path, policy)
+    matrix, observed = parsed
+    if policy == "strict":
+        return matrix, None
+    return matrix, ObservationMask.from_lookup(observed)
+
+
+def _parse_plain_matrix(path):
+    """``(matrix, observed)`` of a file whose cells are decimal numbers or empty; else None.
+
+    numpy's text parser reads a number as ``float`` does, bit for bit.  Only
+    digits, ``.eE+-`` and commas pass, so whitespace (numpy reads a blank
+    cell as -1.0), quotes and words (``nan``, ``inf``) are left to the cell
+    loop.
+    """
+    rows = []
+    with open(path, "rb") as fh:
+        for line in fh:
+            line = line.rstrip(b"\n")
+            if not line:
+                continue  # a blank line, as csv skips it
+            if line.translate(None, b"0123456789.eE+-,"):
+                return None
+            # an empty cell reads NaN
+            padded = (b"," + line + b",").replace(b",,", b",nan,").replace(b",,", b",nan,")
+            try:
+                rows.append(np.fromstring(padded[1:-1], sep=","))
+            except ValueError:
+                return None
+    if not rows or len({len(row) for row in rows}) != 1:
+        return None
+    m = np.array(rows)
+    unobserved = np.isnan(m)
+    if np.isinf(m).any():
+        return None
+    m[unobserved] = 0.0
+    return as_matrix(m), ~unobserved
+
+
+def _parse_matrix_cells(path, policy: str):
+    """The cell loop: ``(matrix, observed)``, or the first bad cell's error."""
     rows: list[list[float]] = []
     observed: list[list[bool]] = []
     with open(path, newline="") as fh:
@@ -138,10 +184,7 @@ def ingest_matrix_csv(path, policy: str = "strict"):
             observed.append(keep)
     if not rows:
         raise CsvParseError(path, 0, 0, "empty file")
-    matrix = as_matrix(rows)
-    if policy == "strict":
-        return matrix, None
-    return matrix, ObservationMask.from_lookup(np.array(observed, dtype=bool))
+    return as_matrix(rows), np.array(observed, dtype=bool)
 
 
 def emit_mask_csv(path, mask: ObservationMask) -> None:
@@ -150,7 +193,22 @@ def emit_mask_csv(path, mask: ObservationMask) -> None:
 
 
 def ingest_mask_csv(path, rows: int, cols: int) -> ObservationMask:
-    """Read an index-pair CSV into a mask for a ``rows x cols`` matrix."""
+    """Read an index-pair CSV into a mask for a ``rows x cols`` matrix.
+
+    numpy parses a file of ``i,j`` lines of plain digits; any other file
+    goes through the line loop, which names the first bad line.
+    """
+    with open(path, "rb") as fh:
+        # a few lines at a time: a freed buffer above glibc's mmap threshold
+        # raises it, and the solve that follows then peaks higher
+        parts = []
+        while chunk := b"".join(fh.readlines(1 << 15)):
+            if not _PLAIN_PAIRS.fullmatch(chunk):
+                break
+            parts.append(np.fromstring(chunk.replace(b"\n", b","), dtype=np.int64, sep=","))
+        else:
+            if parts:
+                return _mask(path, rows, cols, np.concatenate(parts))
     flat = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -165,8 +223,16 @@ def ingest_mask_csv(path, rows: int, cols: int) -> ObservationMask:
                 raise CsvParseError(
                     path, line_no, 0, f"indices must be integers, got {raw!r}"
                 ) from None
+    return _mask(path, rows, cols, np.array(flat))
+
+
+# at most 18 digits, so every index fits an int64
+_PLAIN_PAIRS = re.compile(rb"(?:[0-9]{1,18},[0-9]{1,18}\n)+")
+
+
+def _mask(path, rows: int, cols: int, flat: np.ndarray) -> ObservationMask:
     try:
-        return ObservationMask(rows, cols, np.array(flat).reshape(-1, 2))
+        return ObservationMask(rows, cols, flat.reshape(-1, 2))
     except ValueError as exc:
         raise CsvParseError(path, -1, -1, str(exc)) from exc
 

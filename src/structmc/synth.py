@@ -2,20 +2,25 @@
 
 Reproducibility contract
 ------------------------
-All randomness flows through :func:`stream`, which returns a numpy Generator
-backed by the counter-based Philox bit generator.  The 128-bit Philox key is
-``(seed, fold(path))`` where ``fold`` chains splitmix64 over the path
-elements; ints are folded as-is, floats by their IEEE-754 bit pattern, and
-string tags through blake2s.  Distinct (seed, path) pairs therefore get
-independent streams, and the same pair reproduces bit-identical draws on any
-platform.  Gaussian variates are produced by inverse-CDF over 53-bit
-uniforms (not the ziggurat), so noise streams are portable too.
+All randomness flows through :func:`stream`, which draws the stream of
+numpy's ``Generator(Philox(key))``, the counter-based Philox4x64-10 (Salmon
+et al., SC'11).  The 128-bit Philox key is ``(seed, fold(path))`` where
+``fold`` chains splitmix64 over the path elements; ints are folded as-is,
+floats by their IEEE-754 bit pattern, and string tags through blake2s.
+Distinct (seed, path) pairs therefore get independent streams, and the same
+pair reproduces bit-identical draws on any platform.  Gaussian variates are
+produced by inverse-CDF over 53-bit uniforms (not the ziggurat), so noise
+streams are portable too.  The draws of the CLI and the sweeps run in numpy
+alone; any other call, such as the oracle's ``standard_normal`` starts,
+continues on numpy's own Generator from the same position (see
+:func:`stream`).
 
 Draw order is part of the contract and is documented on each operation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,9 +53,11 @@ def _splitmix64(x: int) -> int:
 
 def _fold(word: int, value) -> int:
     if isinstance(value, str):
-        import hashlib  # only string tags need it; keeps it out of start-up
-
-        value = int.from_bytes(hashlib.blake2s(value.encode()).digest()[:8], "big")
+        try:  # the same blake2s, without loading OpenSSL
+            from _blake2 import blake2s
+        except ImportError:
+            from hashlib import blake2s
+        value = int.from_bytes(blake2s(value.encode()).digest()[:8], "big")
     elif isinstance(value, float):
         value = int(np.float64(value).view(np.uint64))
     else:
@@ -66,10 +73,112 @@ def derive_seed(seed: int, *path) -> int:
     return word
 
 
-def stream(seed: int, *path) -> np.random.Generator:
-    """Philox generator keyed by ``seed`` and a folded ``path``."""
-    key = np.array([int(seed) & _MASK64, derive_seed(seed, *path)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+# Philox4x64 round multipliers (row 0) and Weyl key increments (row 1)
+_PHILOX = np.array([[0xD2E7470EE14C6C93, 0xCA5A826395121157],
+                    [0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B]], dtype=np.uint64)
+_S32, _LO32 = np.array(32, dtype=np.uint64), np.array(0xFFFFFFFF, dtype=np.uint64)
+
+
+def _philox(key: np.ndarray, first: int, count: int) -> np.ndarray:
+    """The words of the Philox4x64-10 blocks with counters first .. first+count-1."""
+    m, w = np.repeat(_PHILOX, count, axis=1).reshape(2, 2, count)
+    mh, ml, k = m >> _S32, m & _LO32, np.repeat(key[:, None], count, axis=1)
+    e = np.zeros((2, count), dtype=np.uint64)  # counter words 0 and 2; o holds 1 and 3
+    e[0], o = np.arange(first, first + count, dtype=np.uint64), np.zeros_like(e)
+    for _ in range(10):
+        # the high words of the 128-bit products m * e, from 32-bit halves
+        eh, el = e >> _S32, e & _LO32
+        t = el * mh + ((el * ml) >> _S32)
+        u = eh * ml + (t & _LO32)
+        e, o = (eh * mh + (t >> _S32) + (u >> _S32))[::-1] ^ o ^ k, (e * m)[::-1]
+        k = k + w
+    return np.stack([e[0], o[0], e[1], o[1]], axis=1).ravel()
+
+
+class _Stream:
+    """numpy's Philox stream: ``_pos`` words drawn, plus the high half-word a
+    32-bit draw left pending (``_has32``, ``_u32``).  Words are computed 64
+    blocks ahead, so one vectorised run serves several calls."""
+
+    def __init__(self, key: np.ndarray):
+        self._key, self._pos, self._has32, self._u32 = key, 0, 0, 0
+        self._ahead, self._ahead_at, self._gen = key[:0], 0, None
+
+    def _words(self, size) -> np.ndarray:
+        start, end = self._pos, self._pos + int(np.prod(size))
+        if end > self._ahead_at + len(self._ahead):
+            block = start // 4
+            self._ahead = _philox(self._key, block + 1, -(-end // 4) - block + 64)
+            self._ahead_at = 4 * block
+        self._pos = end
+        return self._ahead[start - self._ahead_at:end - self._ahead_at].reshape(size)
+
+    def random(self, size=None, *args, **kwargs):
+        if size is None or args or kwargs:
+            return self._handoff().random(size, *args, **kwargs)
+        return (self._words(size) >> 11) * 2.0**-53
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        # numpy's bounded draw on [0, 2^53) is word >> 11 and never rejects
+        if size is None or ((type(low), type(high), low, high, dtype, endpoint)
+                            != (int, int, 0, 1 << 53, np.int64, False)):
+            return self._handoff().integers(low, high, size, dtype, endpoint)
+        return (self._words(size) >> 11).astype(np.int64)
+
+    def permutation(self, x):
+        if not isinstance(x, int):
+            return self._handoff().permutation(x)
+        # numpy's shuffle: for i = x-1 .. 1, j is the next 32-bit half-word (a pending one,
+        # then low before high) masked to the smallest 2^b - 1 >= i, redrawn while above i
+        a, i, rejected, start = list(range(x)), x - 1, 0, self._pos
+        halves = itertools.chain([self._u32] * self._has32, itertools.chain.from_iterable(
+            self._words(x).astype("<u8", copy=False).view("<u4").tolist()
+            for _ in itertools.count()))
+        while i > 0:
+            mask = (1 << i.bit_length()) - 1
+            for h in halves:
+                j = h & mask
+                if j <= i:
+                    a[i], a[j] = a[j], a[i]
+                    i -= 1
+                    if i == mask >> 1:
+                        break
+                else:
+                    rejected += 1
+        if x > 1:  # back to the last word used, of the x drawn at a time
+            used = x - 1 + rejected - self._has32  # half-words past the pending one
+            self._pos, self._has32 = start + (used + 1) // 2, used % 2
+            if self._has32:
+                self._u32 = next(halves)
+        return np.array(a, dtype=np.int_)
+
+    def _handoff(self):
+        """numpy's Generator at this position; it serves every later call."""
+        from numpy.random import Generator, Philox
+
+        blocks, bits = -(-self._pos // 4), Philox(key=self._key)
+        bits.state = {"bit_generator": "Philox", "has_uint32": self._has32, "uinteger": self._u32,
+                      "state": {"counter": np.array([blocks, 0, 0, 0], dtype=np.uint64),
+                                "key": self._key}, "buffer": _philox(self._key, blocks, 1),
+                      "buffer_pos": self._pos - 4 * (blocks - 1)}
+        self._gen = Generator(bits)
+        self.random, self.integers, self.permutation = (
+            self._gen.random, self._gen.integers, self._gen.permutation)
+        return self._gen
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._gen or self._handoff(), name)
+
+
+def stream(seed: int, *path) -> _Stream:
+    """The Philox stream keyed by ``seed`` and a folded ``path``: numpy's
+    ``Generator(Philox(key))`` draws, with ``random(size)``, ``permutation(n)``
+    and ``integers(0, 2**53, size, dtype=np.int64)`` run in numpy alone.  Any
+    other call hands the stream at its position to numpy's Generator, which
+    then serves every call."""
+    return _Stream(np.array([int(seed) & _MASK64, derive_seed(seed, *path)], dtype=np.uint64))
 
 
 # Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
@@ -138,7 +247,7 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def normal_draws(rng: np.random.Generator, shape, sigma: float = 1.0) -> np.ndarray:
+def normal_draws(rng, shape, sigma: float = 1.0) -> np.ndarray:
     """Gaussian draws via inverse-CDF over 53-bit uniforms (portable).
 
     Each draw is ``sigma * ndtri(u)`` with u = (k + 0.5) * 2^-53 for a

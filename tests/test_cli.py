@@ -200,6 +200,19 @@ class TestComplete:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-iters", "0"), ("--primal-tol", "-1"), ("--primal-tol", "nan"),
+        ("--dual-tol", "0"), ("--penalty", "0"),
+    ])
+    def test_bad_solver_flag_is_usage_error_before_any_read(self, tmp_path, capsys, flag, value):
+        # the input does not exist: the flag is rejected before it is read
+        code = run_cli(
+            "complete", "--input", str(tmp_path / "missing.csv"), "--infer-mask",
+            "--mode", "nnm-exact", "--output", str(tmp_path / "o.csv"), flag, value,
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         import structmc.solvers as solvers_mod
         from structmc.errors import NumericalError
@@ -378,6 +391,52 @@ class TestBenchmark:
         assert code == 3
 
 
+class TestFileErrors:
+    """A file that cannot be read or written is a data error (exit 3), not a traceback."""
+
+    @staticmethod
+    def _inputs(tmp_path):
+        (tmp_path / "m.csv").write_text("1,2\n3,\n")
+        (tmp_path / "k.csv").write_text("0,0\n0,1\n1,0\n")
+        (tmp_path / "file").write_text("a regular file\n")
+        return str(tmp_path)
+
+    def _assert_data_error(self, capsys, code, path):
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: "), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--input", "--mask"])
+    def test_missing_input_file(self, tmp_path, capsys, flag):
+        d = self._inputs(tmp_path)
+        paths = {"--input": d + "/m.csv", "--mask": d + "/k.csv", flag: d + "/nope.csv"}
+        code = run_cli("complete", "--input", paths["--input"], "--mask", paths["--mask"],
+                       "--mode", "nnm-exact", "--output", d + "/o.csv")
+        self._assert_data_error(capsys, code, d + "/nope.csv")
+
+    def test_complete_output_in_missing_directory(self, tmp_path, capsys):
+        d = self._inputs(tmp_path)
+        code = run_cli("complete", "--input", d + "/m.csv", "--infer-mask",
+                       "--mode", "nnm-exact", "--output", d + "/no/dir/o.csv")
+        self._assert_data_error(capsys, code, d + "/no/dir/o.csv")
+
+    def test_generate_matrix_out_in_missing_directory(self, tmp_path, capsys):
+        d = self._inputs(tmp_path)
+        code = run_cli("generate", "--rows", "6", "--cols", "6", "--rank", "1",
+                       "--density-left", "1", "--density-right", "1", "--rate-zero", "0.5",
+                       "--rate-nonzero", "0.5", "--matrix-out", d + "/no/m.csv",
+                       "--mask-out", d + "/k2.csv")
+        self._assert_data_error(capsys, code, d + "/no/m.csv")
+
+    def test_benchmark_outdir_under_a_regular_file(self, tmp_path, capsys):
+        d = self._inputs(tmp_path)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(SYNTH_CONFIG)
+        code = run_cli("benchmark", "--config", str(cfg), "--outdir", d + "/file/out")
+        self._assert_data_error(capsys, code, d + "/file/out")
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self):
         assert run_cli() == 2
@@ -387,12 +446,40 @@ class TestTopLevel:
         assert "structmc" in capsys.readouterr().out
 
     def test_start_up_leaves_unused_modules_unloaded(self):
-        # hashlib serves only string seed tags, multiprocessing only pooled
-        # sweeps and scipy only the benchmark manifest's version string
+        # multiprocessing serves only pooled sweeps, scipy only the benchmark
+        # manifest's version string and numpy.random only unported draws
         script = ("import sys, structmc.cli; print('LOADED', [name for name in "
-                  "('hashlib', 'multiprocessing', 'concurrent.futures', 'scipy') "
-                  "if name in sys.modules])")
+                  "('hashlib', 'multiprocessing', 'concurrent.futures', 'scipy', "
+                  "'numpy.random') if name in sys.modules])")
         assert run_python(script) == "LOADED []"
+
+    @pytest.mark.parametrize("kind", ["synthetic", "real-noisy"])
+    def test_sweep_leaves_numpy_random_and_openssl_unloaded(self, tmp_path, kind):
+        # the draws run on the numpy port of Philox; seed tags hash with
+        # _blake2, not hashlib and its OpenSSL binding _hashlib
+        cfg = tmp_path / "cfg.ini"
+        if kind == "synthetic":
+            cfg.write_text(SYNTH_CONFIG)
+        else:
+            (tmp_path / "truth.csv").write_text(
+                "0,1,2,0,3\n4,0,1,2,0\n0,2,0,1,4\n3,0,2,0,1\n1,2,0,4,0\n0,0,3,1,2\n")
+            cfg.write_text(
+                "[experiment]\nkind = real\ntrials = 1\nbase_seed = 5\nalphas = 0.1\n"
+                "noise_sigma = 0.1\nzero_rates = 0.5\nnonzero_rates = 0.9\n\n"
+                "[real]\nmatrix = truth.csv\nrow_subsample = 4\n")
+        script = textwrap.dedent(f"""
+            import runpy, sys
+            sys.argv = ["structmc", "benchmark", "--config", {str(cfg)!r},
+                        "--outdir", {str(tmp_path / "out")!r}]
+            try:
+                runpy.run_module("structmc", run_name="__main__", alter_sys=True)
+            except SystemExit as exc:
+                assert exc.code == 0, exc.code
+            print("LOADED", [m for m in ("numpy.random", "hashlib", "_hashlib")
+                             if m in sys.modules])
+        """)
+        assert run_python(script) == "LOADED []"
+        assert (tmp_path / "out" / "results.csv").exists()
 
     def test_complete_leaves_heavy_scipy_modules_unloaded(self, tmp_path):
         # scipy.optimize serves only the oracle; a CLI process that imports it

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from structmc import (
     ExperimentGrid,
@@ -15,6 +17,8 @@ from structmc import (
     stream,
 )
 from structmc.dataio import (
+    _parse_matrix_cells,
+    _parse_plain_matrix,
     BenchmarkConfig,
     emit_mask_csv,
     emit_matrix_csv,
@@ -117,6 +121,64 @@ class TestMatrixCsv:
         assert inferred == mask
 
 
+def _outcome(read):
+    """A read's result as bytes, or its error's type and message."""
+    try:
+        matrix, observed = read()
+    except Exception as exc:  # the comparison covers every error the cell loop raises
+        return type(exc).__name__, str(exc)
+    observed = getattr(observed, "lookup", observed)
+    return matrix.tobytes(), matrix.shape, None if observed is None else observed.tobytes()
+
+
+def _cell_loop(path, policy):
+    matrix, observed = _parse_matrix_cells(path, policy)
+    return matrix, (observed if policy == "mask" else None)
+
+
+CSV_PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
+# plain numbers in several spellings, and cells only the cell loop reads
+CELLS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+         | st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.25g}")
+         | st.sampled_from(["", "", "1", "-0.0", "1e-05", "007", "+1", "1e400", "nan", "inf",
+                            " ", " 1", "1_0", '"3"', "x", "-", ".", "1e", "1.2.3", "0x10"]))
+
+
+class TestMatrixCsvNumpyParse:
+    """numpy parses plain files; the result, or error, is the cell loop's."""
+
+    @CSV_PROPERTY
+    @given(rows=st.lists(st.lists(CELLS, min_size=1, max_size=4), min_size=1, max_size=4),
+           policy=st.sampled_from(["mask", "strict"]), blank_line=st.booleans())
+    def test_matches_the_cell_loop(self, tmp_path_factory, rows, policy, blank_line):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        lines = [",".join(row) for row in rows] + ([""] if blank_line else [])
+        path.write_text("\n".join(lines) + "\n")
+        assert _outcome(lambda: ingest_matrix_csv(path, policy)) == _outcome(
+            lambda: _cell_loop(path, policy))
+
+    @CSV_PROPERTY
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                           max_size=6),
+           spelling=st.sampled_from(["{!r}", "{:.17e}", "{:.25g}", "{:.3f}"]))
+    def test_values_are_float_of_the_text_bit_for_bit(self, tmp_path_factory, values, spelling):
+        texts = [spelling.format(v) for v in values]
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        path.write_text(",".join(texts) + "\n")
+        parsed = _parse_plain_matrix(path)
+        assert parsed is not None
+        assert parsed[0].tobytes() == np.array([[float(t) for t in texts]]).tobytes()
+
+    def test_emitted_file_with_holes_takes_the_numpy_parse(self, tmp_path):
+        m = stream(3, "numpy-parse").standard_normal((6, 5)) * 1e3
+        mask = ObservationMask.from_lookup(stream(3, "numpy-parse-mask").random((6, 5)) < 0.6)
+        path = tmp_path / "holes.csv"
+        emit_matrix_csv(path, m, mask)
+        matrix, observed = _parse_plain_matrix(path)
+        assert matrix.tobytes() == np.where(mask.lookup, m, 0.0).tobytes()
+        np.testing.assert_array_equal(observed, mask.lookup)
+
+
 class TestMaskCsv:
     def test_round_trip(self, tmp_path):
         mask = ObservationMask(3, 4, [(0, 0), (2, 3), (1, 1)])
@@ -183,6 +245,22 @@ nonzero_rates = 0.5
 matrix = truth.csv
 row_subsample = 4
 """
+
+
+class TestMaskCsvNumpyParse:
+    @CSV_PROPERTY
+    @given(lines=st.lists(st.lists(
+        st.integers(0, 3).map(str) | st.sampled_from(["007", " 1", "-1", "1.0", "", "x",
+                                                      "99999999999999999999"]),
+        min_size=1, max_size=3).map(",".join), max_size=5), final_newline=st.booleans())
+    @example(lines=["1,2", "99999999999999999999,1"], final_newline=True)  # beyond int64
+    def test_matches_the_line_loop(self, tmp_path_factory, lines, final_newline):
+        path = tmp_path_factory.mktemp("mask") / "k.csv"
+        got = {}
+        for end in ("\n", "\r\n"):  # csv reads both alike; only "\n" files are plain
+            path.write_bytes((end.join(lines) + (end if final_newline else "")).encode())
+            got[end] = _outcome(lambda: (np.zeros(1), ingest_mask_csv(path, 4, 4)))
+        assert got["\n"] == got["\r\n"]
 
 
 class TestConfig:

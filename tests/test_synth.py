@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structmc import (
     GeneratorSpec,
@@ -16,7 +18,7 @@ from structmc import (
     stream,
 )
 from structmc.errors import InvalidSamplingError
-from structmc.synth import _ndtri
+from structmc.synth import _ndtri, _Stream
 
 
 class TestStream:
@@ -41,6 +43,91 @@ class TestStream:
         z = normal_draws(stream(7, "gauss"), (2000,), 1.0)
         assert abs(z.mean()) < 0.1
         assert abs(z.std() - 1.0) < 0.05
+
+
+def _pair(key):
+    """The numpy port and numpy's own Generator on one Philox key."""
+    key = np.array(key, dtype=np.uint64)
+    return _Stream(key.copy()), np.random.Generator(np.random.Philox(key=key))
+
+
+def _draw(rng, call):
+    kind, arg = call
+    if kind == "random":
+        return rng.random(arg)
+    if kind == "integers":
+        return rng.integers(0, 1 << 53, size=arg, dtype=np.int64)
+    return rng.permutation(arg)
+
+
+def _assert_same_draw(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+KEY_WORDS = st.sampled_from([0, 1, (1 << 64) - 1]) | st.integers(0, (1 << 64) - 1)
+# sizes off multiples of 4 leave part of a Philox block buffered; a
+# permutation of an odd count of half-words leaves a high half pending
+PORTED_CALLS = st.lists(
+    st.tuples(st.just("random"), st.sampled_from([1, 3, 5, 7, 60, (2, 3), (5, 1), np.int64(2)]))
+    | st.tuples(st.just("integers"), st.sampled_from([1, 2, 3, 9, 1500, (3, 5)]))
+    | st.tuples(st.just("permutation"), st.sampled_from([0, 1, 2, 3, 31, 32, 33, 900, 5000])),
+    min_size=1, max_size=8,
+)
+STREAM_PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+class TestPortedStream:
+    """The numpy port of Philox draws against numpy's Generator, bit for bit.
+
+    A numpy release that changes the Generator's algorithms or its Philox
+    state layout fails here, before it could move the seed schedule.
+    """
+
+    @STREAM_PROPERTY
+    @given(k0=KEY_WORDS, k1=KEY_WORDS, calls=PORTED_CALLS)
+    def test_interleaved_calls_match_numpy(self, k0, k1, calls):
+        port, ref = _pair([k0, k1])
+        for call in calls:
+            _assert_same_draw(_draw(port, call), _draw(ref, call))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 900, 5000])
+    def test_permutation_matches_numpy(self, n):
+        port, ref = _pair([20240601, (1 << 64) - 1])
+        for _ in range(3):
+            _assert_same_draw(port.permutation(n), ref.permutation(n))
+
+    def test_pending_half_word_carries_across_calls(self):
+        # permutation(2) takes one half-word, leaving the high half of its
+        # word pending; random draws whole words and leaves it pending too
+        port, ref = _pair([7, 0])
+        for call in [("permutation", 2), ("random", 3), ("permutation", 2),
+                     ("permutation", 33), ("integers", 5), ("permutation", 3)]:
+            _assert_same_draw(_draw(port, call), _draw(ref, call))
+        assert port._has32 == ref.bit_generator.state["has_uint32"]
+
+    def test_other_calls_hand_off_to_numpy(self):
+        port, ref = _pair([123, 456])
+        for rng in (port, ref):
+            rng.random(5), rng.permutation(33), rng.integers(0, 1 << 53, size=3, dtype=np.int64)
+        _assert_same_draw(port.standard_normal(7), ref.standard_normal(7))
+        _assert_same_draw(port.choice(10, 4), ref.choice(10, 4))
+        # after the handoff the ported methods are numpy's too
+        _assert_same_draw(port.random(6), ref.random(6))
+        _assert_same_draw(port.permutation(np.arange(9)), ref.permutation(np.arange(9)))
+        _assert_same_draw(port.integers(0, 10, size=4), ref.integers(0, 10, size=4))
+
+    def test_unported_arguments_hand_off_to_numpy(self):
+        port, ref = _pair([5, 6])
+        assert port.random() == ref.random()
+        _assert_same_draw(port.integers(0, 1 << 53, size=2, dtype=np.int64),
+                          ref.integers(0, 1 << 53, size=2, dtype=np.int64))
+
+    def test_stream_is_the_numpy_philox_stream(self):
+        seed, path = 20240601, ("structured-mask", 3)
+        key = np.array([seed, derive_seed(seed, *path)], dtype=np.uint64)
+        ref = np.random.Generator(np.random.Philox(key=key))
+        _assert_same_draw(stream(seed, *path).permutation(100), ref.permutation(100))
 
 
 def _grid_u(k):
