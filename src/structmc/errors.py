@@ -22,7 +22,7 @@ class DegenerateDrawError(StructmcError, RuntimeError):
 
 
 class OracleBudgetError(StructmcError, ValueError):
-    """Problem too large for the brute-force oracle."""
+    """Problem with more free entries than the reference oracle searches."""
 
 
 class CsvParseError(StructmcError, ValueError):

@@ -365,21 +365,25 @@ def _cell_worker(args):
     return run_cell(*args)
 
 
-# BLAS thread-count variables that sweep workers get as 1 unless already set
+# BLAS thread-count variables that sweep workers get as 1 when none is set
 _WORKER_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @contextlib.contextmanager
 def _one_blas_thread_per_process():
-    """Set the unset BLAS thread-count variables to 1, restore on exit.
+    """Set both BLAS thread-count variables to 1 if neither is set, restore on exit.
 
     The workers of a sweep already fill the cores.  Default BLAS threads of
     several processes on shared cores wait on each other: ``eigh`` of a
     30x30 Gram matrix, as in svt, took 1.8-9.5 ms in each of two processes on
     two cores against 0.15 ms in one process.  Workers are spawned, not
-    forked, so that each reads these variables when it loads numpy.
+    forked, so that each reads these variables when it loads numpy.  A caller
+    who set either variable chose the thread count, and both stay as they
+    are: OpenBLAS reads ``OPENBLAS_NUM_THREADS`` before ``OMP_NUM_THREADS``,
+    so a 1 in the first would override the caller's second.
     """
-    unset = [name for name in _WORKER_BLAS_THREADS if name not in os.environ]
+    caller_set = any(name in os.environ for name in _WORKER_BLAS_THREADS)
+    unset = () if caller_set else _WORKER_BLAS_THREADS
     os.environ.update(dict.fromkeys(unset, "1"))
     try:
         yield
@@ -392,7 +396,7 @@ def _run_tasks(tasks, worker, payloads, workers, strict):
     """Run ``worker(payload)`` per (cell, trial) task and keep task order.
 
     ``workers`` > 1 runs the tasks in that many spawned processes, with one
-    BLAS thread each unless the caller set the thread-count variables.
+    BLAS thread each unless the caller set a thread-count variable.
     With ``strict=False`` any exception a task raises, including a broken
     worker pool, becomes that task's failure record, and every finished
     record is kept.  Raises ValueError for ``workers`` < 1.

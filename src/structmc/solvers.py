@@ -58,9 +58,9 @@ over-shrinks everything at realistic noise levels.  Solvers are deterministic
 concurrently.  They are not single-threaded: the BLAS under svt runs as many
 threads as it is configured for (OpenBLAS defaults to one per core).
 
-:func:`oracle_solve` is an independent brute-force check for tiny
-instances: dense grid search when at most two entries are free, otherwise a
-restarted multi-start Nelder-Mead polytope search.
+:func:`oracle_solve` is an independent check for tiny instances: BFGS on
+the objective with its kinks smoothed, the smoothing lowered by decades from
+1e-1 to 1e-9, each level started from the last.
 """
 
 from __future__ import annotations
@@ -474,270 +474,94 @@ def solve_rpca_restricted(
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# reference oracle
 # ---------------------------------------------------------------------------
 
 _ORACLE_MAX_FREE = 16
-_GRID_MAX_FREE = 2
+# smoothing levels of the continuation, each started from the last minimizer
+_ORACLE_SMOOTHING = tuple(10.0 ** -k for k in range(1, 10))
 
 
-def _oracle_objective(problem: CompletionProblem):
-    """Objective as a function of the free entries, constraints eliminated.
+def _smoothed_objective(problem: CompletionProblem, free: np.ndarray, mu: float):
+    """The objective with each kink smoothed by ``mu``, on the free entries.
 
-    For the exactly-constrained formulations the observed entries are pinned
-    and only the unobserved ones vary; for rpca-restricted the sparse block
-    is substituted out via S = P_O(M) - A.  Returns (fun, fun_batch, pack,
-    n_free) where pack maps a free-entry vector to the full candidate matrix,
-    fun evaluates one vector on its matrix directly and fun_batch evaluates
-    a (N, n_free) stack at once.  The search evaluates the objective tens of
-    thousands of times, so masks and projections are precomputed here rather
-    than inside the closures.
+    ||A||_* becomes sum(sqrt(sigma^2 + mu^2)) and |x| becomes
+    sqrt(x^2 + mu^2), each within ``mu`` per term of the exact one.  The
+    entries outside ``free`` stay at P_O(M).  Returns x -> (value, gradient);
+    the nuclear term's gradient is U*diag(sigma/sqrt(sigma^2 + mu^2))*V^T.
     """
+    fit, reg = _FORMS[problem.formulation]
     y = project(problem.observed_values, problem.mask)
-    lookup = problem.mask.lookup
-    unobserved = ~lookup
-    alpha, rho = problem.alpha, problem.rho
-    shape = problem.shape
-    # bound once; each objective below takes one matrix or an (N, r, c) stack
-    svdvals = np.linalg.svd
-
-    if problem.formulation in ("nnm-exact", "nnm-reg"):
-        free = np.argwhere(unobserved)
-        rows_idx, cols_idx = free[:, 0], free[:, 1]
-
-        def pack(x):
-            a = y.copy()
-            if len(free):
-                a[rows_idx, cols_idx] = x
-            return a
-
-        def pack_batch(xs):
-            a = np.broadcast_to(y, (len(xs), *shape)).copy()
-            a[:, rows_idx, cols_idx] = xs
-            return a
-
-        def objective(a, xs):
-            vals = svdvals(a, compute_uv=False).sum(axis=-1)
-            if problem.formulation == "nnm-reg":
-                vals = vals + alpha * np.abs(xs).sum(axis=-1)
-            return vals
-
-        def fun_batch(xs):
-            return objective(pack_batch(xs), xs)
-
-        def fun(x):
-            return float(objective(pack(x), x))
-
-        return fun, fun_batch, pack, len(free)
-
-    def pack(x):
-        return np.asarray(x, dtype=np.float64).reshape(shape)
-
-    def pack_batch(xs):
-        return np.asarray(xs, dtype=np.float64).reshape(len(xs), *shape)
-
-    entries = (-2, -1)
-    if problem.formulation == "rpca-restricted":
-
-        def objective(a):
-            nuc = svdvals(a, compute_uv=False).sum(axis=-1)
-            return nuc + alpha * np.abs(y - a).sum(axis=entries)
-
-    elif problem.formulation == "nnm-noisy":
-
-        def objective(a):
-            fit_sq = (np.where(lookup, y - a, 0.0) ** 2).sum(axis=entries)
-            return 0.5 * fit_sq + rho * svdvals(a, compute_uv=False).sum(axis=-1)
-
-    else:  # nnm-noisy-reg
-
-        def objective(a):
-            fit_sq = (np.where(lookup, y - a, 0.0) ** 2).sum(axis=entries)
-            nuc = svdvals(a, compute_uv=False).sum(axis=-1)
-            l1 = np.abs(np.where(unobserved, a, 0.0)).sum(axis=entries)
-            return 0.5 * fit_sq + rho * nuc + alpha * l1
-
-    def fun_batch(xs):
-        return objective(pack_batch(xs))
+    observed = problem.mask.lookup
+    weight = problem.rho if fit == "quad" else 1.0
+    # where alpha*|A - y| is charged: y = 0 on Oc, so reg charges alpha*|A| there
+    l1 = None
+    if fit == "l1":
+        l1 = np.ones_like(observed)
+    elif reg:
+        l1 = ~observed
 
     def fun(x):
-        return float(objective(pack(x)))
+        a = y.copy()
+        a[free] = x
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        root = np.sqrt(s * s + mu * mu)
+        value = weight * root.sum()
+        grad = weight * (u * (s / root)) @ vt
+        if fit == "quad":
+            r = np.where(observed, a - y, 0.0)
+            value += 0.5 * (r * r).sum()
+            grad += r
+        if l1 is not None:
+            d = np.where(l1, a - y, 0.0)
+            root = np.sqrt(d * d + mu * mu)
+            value += problem.alpha * root[l1].sum()
+            grad += problem.alpha * d / root
+        return value, grad[free]
 
-    return fun, fun_batch, pack, shape[0] * shape[1]
-
-
-def _grid_minimize(fun_batch, n_free, half_width, points, rounds):
-    """Iteratively refined dense grid over 1 or 2 free entries (batched)."""
-    lo = np.full(n_free, -half_width)
-    hi = np.full(n_free, half_width)
-    best_x = np.zeros(n_free)
-    best_f = float(fun_batch(best_x[None, :])[0])
-    evals = 1
-    for _ in range(rounds):
-        axes = [np.linspace(lo[d], hi[d], points) for d in range(n_free)]
-        if n_free == 1:
-            candidates = axes[0][:, None]
-        else:
-            g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-            candidates = np.column_stack([g0.ravel(), g1.ravel()])
-        values = fun_batch(candidates)
-        evals += len(candidates)
-        k = int(np.argmin(values))
-        if values[k] < best_f:
-            best_f = float(values[k])
-            best_x = candidates[k].copy()
-        # zoom to +-2 grid steps around the incumbent
-        step = (hi - lo) / (points - 1)
-        lo = best_x - 2.0 * step
-        hi = best_x + 2.0 * step
-    return best_x, best_f, evals
-
-
-def _polytope_minimize(fun, starts, maxfev, restarts):
-    """Multi-start Nelder-Mead with a ladder of shrinking simplex resets.
-
-    The nuclear norm and L1 terms are nonsmooth, and their minimizers sit in
-    kinked corners where a single Nelder-Mead run stalls.  Each start
-    therefore walks down the delta ladder: large simplexes explore, small
-    ones crawl into the corner.  A start leaves its ladder after the first
-    restart that gains less than ``fatol``: the smaller simplexes below it
-    only re-confirm the point.
-    """
-    import scipy.optimize  # only the oracle needs it; keeps it out of CLI start-up
-
-    deltas = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6)
-    fatol = 1e-11
-    best_x, best_f = None, np.inf
-    evals = 0
-    for x0 in starts:
-        x = np.asarray(x0, dtype=np.float64)
-        f = fun(x)
-        evals += 1
-        for k in range(restarts):
-            delta = deltas[min(k, len(deltas) - 1)]
-            simplex = np.vstack([x, x + delta * np.eye(len(x))])
-            res = scipy.optimize.minimize(
-                fun,
-                x,
-                method="Nelder-Mead",
-                options={
-                    "initial_simplex": simplex,
-                    "xatol": 1e-9,
-                    "fatol": fatol,
-                    "maxfev": maxfev,
-                },
-            )
-            evals += res.nfev
-            gain = f - res.fun
-            if gain > 0:
-                x, f = res.x, res.fun
-            if gain < fatol:
-                break
-        if f < best_f:
-            best_x, best_f = x, f
-    # the L1 kinks are axis-aligned, so a compass polish finishes the crawl
-    # into the corner that the simplex search circles around; one more short
-    # simplex ladder afterwards escapes curved (rank-deficiency) kinks
-    best_x = np.asarray(best_x)
-    best_f = float(best_f)
-    for _ in range(2):
-        best_x, best_f, polish_evals = _compass_polish(fun, best_x, best_f)
-        evals += polish_evals
-        for delta in (0.01, 1e-3, 1e-4):
-            simplex = np.vstack([best_x, best_x + delta * np.eye(len(best_x))])
-            res = scipy.optimize.minimize(
-                fun,
-                best_x,
-                method="Nelder-Mead",
-                options={
-                    "initial_simplex": simplex,
-                    "xatol": 1e-9,
-                    "fatol": fatol,
-                    "maxfev": maxfev,
-                },
-            )
-            evals += res.nfev
-            if res.fun < best_f:
-                best_x, best_f = res.x, float(res.fun)
-    return best_x, best_f, evals
-
-
-def _compass_polish(fun, x, f, step=0.01, min_step=1e-9, max_sweeps=500):
-    """Greedy coordinate pattern search with halving steps."""
-    evals = 0
-    x = x.copy()
-    for _ in range(max_sweeps):
-        if step <= min_step:
-            break
-        improved = False
-        for i in range(len(x)):
-            for sign in (1.0, -1.0):
-                trial = x.copy()
-                trial[i] += sign * step
-                ft = fun(trial)
-                evals += 1
-                if ft < f - 1e-15:
-                    x, f = trial, ft
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return x, f, evals
+    return fun
 
 
 def oracle_solve(
     problem: CompletionProblem,
-    grid_points: int = 101,
-    grid_rounds: int = 8,
-    starts: int = 3,
-    polish_restarts: int = 8,
-    nm_maxfev: int = 4000,
-    seed: int = 0,
+    *,
+    starts: int | None = None,
+    polish_restarts: int | None = None,
+    nm_maxfev: int | None = None,
 ) -> SolveResult:
-    """Brute-force minimizer for tiny instances, independent of the ADMM path.
+    """Reference minimizer for tiny instances, independent of the ADMM path.
 
-    With at most two free entries the exact objective is scanned on an
-    iteratively refined dense grid; otherwise (up to 16 unknowns) a
-    restarted multi-start Nelder-Mead simplex search is used.  Raises
-    :class:`OracleBudgetError` beyond that.
+    The free entries are the unobserved ones for the exact data fit and all
+    entries otherwise, at most 16 of them (:class:`OracleBudgetError`
+    beyond).  BFGS minimizes the smoothed objective of
+    :func:`_smoothed_objective` at smoothing 1e-1, 1e-2, ..., 1e-9, starting
+    from P_O(M) and each level from the previous level's minimizer
+    (continuation: Nesterov, Math. Program. 2005; Beck & Teboulle, SIAM J.
+    Optim. 2012).  Only ``np.linalg.svd`` and scipy run, none of the ADMM
+    proxes.  The result reports the exact objective and, as ``iterations``,
+    the objective evaluations.  ``starts``, ``polish_restarts`` and
+    ``nm_maxfev`` tuned an earlier search; they are still accepted and no
+    longer change the result.
     """
-    from .synth import stream  # local import keeps module dependencies one-way
+    import scipy.optimize  # only the oracle needs it; keeps it out of CLI start-up
 
-    fun, fun_batch, pack, n_free = _oracle_objective(problem)
-    if n_free == 0:
-        completed = pack(np.empty(0))
-        return _result(problem, completed, CONVERGED, 0, 0.0, 0.0, [], [],
-                       sparse=_rpca_sparse(problem, completed))
-    scale = max(1.0, float(np.max(np.abs(problem.observed_values))))
-    if n_free <= _GRID_MAX_FREE:
-        x, _, evals = _grid_minimize(fun_batch, n_free, 2.0 * scale, grid_points, grid_rounds)
-    elif n_free <= _ORACLE_MAX_FREE:
-        y = project(problem.observed_values, problem.mask)
-        rng = stream(seed, "oracle-starts")
-        start_list = [np.zeros(n_free)]
-        if problem.formulation in ("nnm-exact", "nnm-reg"):
-            # free entries only; the observed mean is a sensible fill level
-            mean_obs = float(y.sum() / problem.mask.size)
-            start_list.append(np.full(n_free, mean_obs))
-        else:
-            start_list.append(y.ravel().copy())
-            # truncated-SVD starts sit on the low-rank manifolds where the
-            # nuclear-norm term puts its minimizers
-            u, s, vt = np.linalg.svd(y)
-            for r in range(1, min(problem.shape)):
-                start_list.append(((u[:, :r] * s[:r]) @ vt[:r, :]).ravel())
-        while len(start_list) < max(2, starts):
-            start_list.append(rng.standard_normal(n_free) * scale)
-        x, _, evals = _polytope_minimize(fun, start_list, nm_maxfev, polish_restarts)
-    else:
+    del starts, polish_restarts, nm_maxfev
+    fit = _FORMS[problem.formulation][0]
+    y = project(problem.observed_values, problem.mask)
+    free = ~problem.mask.lookup if fit == "exact" else np.ones(problem.shape, dtype=bool)
+    n_free = int(free.sum())
+    if n_free > _ORACLE_MAX_FREE:
         raise OracleBudgetError(
             f"{n_free} free entries exceed the oracle budget of {_ORACLE_MAX_FREE}"
         )
-    completed = pack(x)
-    return _result(problem, completed, CONVERGED, evals, 0.0, 0.0, [], [],
-                   sparse=_rpca_sparse(problem, completed))
-
-
-def _rpca_sparse(problem: CompletionProblem, completed: np.ndarray):
-    if problem.formulation != "rpca-restricted":
-        return None
-    return project(problem.observed_values, problem.mask) - completed
+    completed = y.copy()
+    evals = 0
+    if n_free:
+        x = y[free]
+        for mu in _ORACLE_SMOOTHING:
+            res = scipy.optimize.minimize(_smoothed_objective(problem, free, mu), x, jac=True,
+                                          method="BFGS", options={"gtol": 1e-10})
+            x, evals = res.x, evals + res.nfev
+        completed[free] = x
+    sparse = y - completed if fit == "l1" else None
+    return _result(problem, completed, CONVERGED, evals, 0.0, 0.0, [], [], sparse=sparse)

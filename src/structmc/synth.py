@@ -10,10 +10,9 @@ floats by their IEEE-754 bit pattern, and string tags through blake2s.
 Distinct (seed, path) pairs therefore get independent streams, and the same
 pair reproduces bit-identical draws on any platform.  Gaussian variates are
 produced by inverse-CDF over 53-bit uniforms (not the ziggurat), so noise
-streams are portable too.  The draws of the CLI and the sweeps run in numpy
-alone; any other call, such as the oracle's ``standard_normal`` starts,
-continues on numpy's own Generator from the same position (see
-:func:`stream`).
+streams are portable too.  The draws of the package run in numpy alone;
+any other call, such as a test's ``standard_normal``, continues on numpy's
+own Generator from the same position (see :func:`stream`).
 
 Draw order is part of the contract and is documented on each operation.
 """

@@ -353,14 +353,24 @@ def _blas_thread_vars(_):
 
 class TestSweepExecutor:
     def test_workers_run_one_blas_thread(self, monkeypatch):
-        unset, kept = harness._WORKER_BLAS_THREADS
-        monkeypatch.delenv(unset, raising=False)
-        monkeypatch.setenv(kept, "3")
+        for name in harness._WORKER_BLAS_THREADS:
+            monkeypatch.delenv(name, raising=False)
         tasks = [((0.3, 0.8), 0), ((0.3, 0.8), 1)]
         seen = harness._run_tasks(tasks, _blas_thread_vars, [None, None], 2, True)
-        assert seen == [("spawn", "1", "3"), ("spawn", "1", "3")]
-        assert unset not in os.environ
-        assert os.environ[kept] == "3"
+        assert seen == [("spawn", "1", "1"), ("spawn", "1", "1")]
+        assert not any(name in os.environ for name in harness._WORKER_BLAS_THREADS)
+
+    @pytest.mark.parametrize("kept", harness._WORKER_BLAS_THREADS)
+    def test_one_caller_thread_variable_leaves_both_alone(self, monkeypatch, kept):
+        # OpenBLAS reads OPENBLAS_NUM_THREADS first, so a 1 there would
+        # override a caller's OMP_NUM_THREADS=2
+        for name in harness._WORKER_BLAS_THREADS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv(kept, "2")
+        with harness._one_blas_thread_per_process():
+            seen = {name: os.environ.get(name) for name in harness._WORKER_BLAS_THREADS}
+        assert seen == {name: "2" if name == kept else None
+                        for name in harness._WORKER_BLAS_THREADS}
 
     def test_unexpected_trial_error_keeps_finished_records(self, monkeypatch):
         real_solve = harness.solve

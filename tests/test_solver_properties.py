@@ -13,6 +13,7 @@ from structmc import (
     entrywise_l1,
     nuclear_norm,
     objective_value,
+    oracle_solve,
     project,
     solve,
     stream,
@@ -38,6 +39,19 @@ def _instance(seed, rows, cols, density):
     keep = stream(seed, "property-mask").random((rows, cols)) < density
     keep.flat[0] = True  # at least one observation
     return m, ObservationMask.from_lookup(keep)
+
+
+@st.composite
+def _oracle_problems(draw):
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    cells = rows * cols
+    m = np.reshape(draw(st.lists(st.floats(-2.0, 2.0), min_size=cells, max_size=cells)),
+                   (rows, cols))
+    keep = np.reshape(draw(st.lists(st.booleans(), min_size=cells, max_size=cells)), (rows, cols))
+    keep.flat[draw(st.integers(0, cells - 1))] = True  # at least one observation
+    return CompletionProblem(m, ObservationMask.from_lookup(keep),
+                             draw(st.sampled_from(FORMULATIONS)),
+                             alpha=draw(st.floats(0.05, 1.5)), rho=draw(st.floats(0.05, 1.0)))
 
 
 def _noisy_pair(seed, rows, cols, density, ratio, rho):
@@ -134,3 +148,14 @@ def test_accelerated_solve_stops_near_the_tight_objective(params, formulation):
     assert res.status == tight.status == CONVERGED
     tol = cfg.primal_tol * np.sqrt(rows * cols)
     assert abs(res.objective - tight.objective) <= 10 * tol
+
+
+@PROPERTY
+@given(_oracle_problems())
+def test_oracle_is_no_worse_than_admm_or_its_start(problem):
+    # ADMM returns a feasible point, whose objective is never below the
+    # minimum; the oracle's search starts at P_O(M)
+    oracle = oracle_solve(problem).objective
+    assert oracle <= solve(problem, TIGHT).objective + 1e-7
+    y = project(problem.observed_values, problem.mask)
+    assert oracle <= objective_value(problem, y, np.zeros_like(y)) + 1e-8

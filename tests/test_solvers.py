@@ -544,8 +544,8 @@ class TestOracle:
         assert abs(res.objective - orc.objective) < 1e-3
 
     def test_polytope_branch_for_exact_modes(self):
-        # four missing entries: beyond the grid budget, handled by the
-        # simplex search over the free entries only
+        # four missing entries: for the exact data fit the oracle searches
+        # over the free (unobserved) entries only
         m, _ = _random_problem(33, shape=(3, 3))
         lookup = np.ones((3, 3), dtype=bool)
         lookup[0, 1] = lookup[1, 2] = lookup[2, 0] = lookup[2, 2] = False
@@ -553,6 +553,24 @@ class TestOracle:
         res = solve(p, TIGHT)
         orc = oracle_solve(p)
         assert abs(res.objective - orc.objective) < 1e-3
+
+    def test_independent_of_the_admm_proxes(self, monkeypatch):
+        import structmc.solvers as solvers_mod
+
+        def engine(*args, **kwargs):
+            raise AssertionError("the oracle ran an ADMM prox")
+
+        for name in ("svt", "soft_threshold", "enforce_observed", "prox_obs_fit_quad"):
+            monkeypatch.setattr(solvers_mod, name, engine)
+        m, _ = _random_problem(34, shape=(3, 3))
+        lookup = np.ones((3, 3), dtype=bool)
+        lookup[0, 2] = lookup[2, 1] = False
+        mask = ObservationMask.from_lookup(lookup)
+        for formulation, kwargs in ALL_MODES:
+            p = CompletionProblem(m, mask, formulation, **kwargs)
+            with pytest.raises(AssertionError):
+                solve(p)
+            assert np.isfinite(oracle_solve(p).objective)
 
     def test_budget_error(self):
         m = generate_low_rank(GeneratorSpec(8, 8, 2, 0.8, 0.8, seed=41))
