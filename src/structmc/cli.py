@@ -91,6 +91,8 @@ def _check_mode_flags(args) -> None:
         raise UsageError(f"mode {mode} does not take --rho/--sigma")
     if args.rho is not None and args.sigma is not None:
         raise UsageError("choose one of --rho or --sigma, not both")
+    if mode != "rpca-restricted" and args.sparse_out is not None:
+        raise UsageError(f"mode {mode} does not take --sparse-out")
 
 
 def cmd_complete(args) -> int:

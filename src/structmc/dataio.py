@@ -80,21 +80,14 @@ def _write_rows(path, rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def emit_matrix_csv(path, m, mask: ObservationMask | None = None) -> None:
-    """Write a matrix as headerless CSV; masked-out entries become empty cells.
+def emit_matrix_csv(path, m) -> None:
+    """Write a matrix as headerless CSV, the bytes of :func:`_write_rows`.
 
-    The bytes are those of :func:`_write_rows`: float cells need no quoting,
-    so each row is its cells joined by commas, except that a row whose only
-    cell is empty is written ``""`` as csv does.
+    Float cells need no quoting, so each row is its cells joined by commas.
     """
     m = np.asarray(m, dtype=np.float64)
-    keep = mask.lookup if mask is not None else np.ones(m.shape, dtype=bool)
-    lines = (
-        ",".join([repr(v) if k else "" for v, k in zip(row, keep_row)])
-        for row, keep_row in zip(m.tolist(), keep.tolist())
-    )
     with open(path, "w", newline="") as fh:
-        fh.writelines((line or '""') + "\n" for line in lines)
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in m.tolist())
 
 
 def ingest_matrix_csv(path, policy: str = "strict"):

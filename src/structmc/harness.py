@@ -136,12 +136,6 @@ class RealSweep(_SweepSpec):
             raise ValueError(f"row_subsample must be >= 1, got {self.row_subsample}")
 
 
-def _float_eq(a, b) -> bool:
-    if isinstance(a, float) and isinstance(b, float):
-        return (math.isnan(a) and math.isnan(b)) or a == b
-    return a == b
-
-
 @dataclass(frozen=True, eq=False)
 class TrialRecord:
     """One (cell, trial) outcome."""
@@ -167,25 +161,6 @@ class TrialRecord:
         if math.isinf(self.ratio):
             return OUTCOME_INF
         return OUTCOME_OK
-
-    def __eq__(self, other):
-        # NaN-aware: a replayed record must compare equal to the original
-        # even when the ratio carries the both-exact sentinel
-        if not isinstance(other, TrialRecord):
-            return NotImplemented
-        return (
-            self.cell == other.cell
-            and self.trial_index == other.trial_index
-            and _float_eq(self.alpha_used, other.alpha_used)
-            and _float_eq(self.ratio, other.ratio)
-            and _float_eq(self.err_reg, other.err_reg)
-            and _float_eq(self.err_nnm, other.err_nnm)
-            and self.status_baseline == other.status_baseline
-            and self.status_reg == other.status_reg
-            and self.attempts == other.attempts
-            and self.alpha_errors == other.alpha_errors
-            and self.error == other.error
-        )
 
 
 def _failure_record(cell, trial_index, message) -> TrialRecord:

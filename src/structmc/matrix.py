@@ -44,9 +44,8 @@ def as_matrix(values) -> np.ndarray:
 class ObservationMask:
     """The set of observed (row, col) index pairs of an n1 x n2 matrix.
 
-    Stores both the explicit index set and a same-shape boolean lookup table,
-    so membership tests during solver sweeps are O(1).  Instances are
-    immutable.
+    Stored as a same-shape, read-only boolean lookup table, True where
+    observed.  Instances are immutable.
     """
 
     def __init__(self, rows: int, cols: int, observed) -> None:
@@ -69,11 +68,8 @@ class ObservationMask:
             raise ValueError(f"duplicate index pair {pair}")
         lookup = np.zeros(rows * cols, dtype=bool)
         lookup[flat] = True
-        lookup = lookup.reshape(rows, cols)
-        lookup.setflags(write=False)
-        self._rows = rows
-        self._cols = cols
-        self._lookup = lookup
+        self._lookup = lookup.reshape(rows, cols)
+        self._lookup.setflags(write=False)
 
     @classmethod
     def from_lookup(cls, keep) -> "ObservationMask":
@@ -82,31 +78,17 @@ class ObservationMask:
         if keep.ndim != 2 or keep.dtype != np.bool_:
             raise ValueError("lookup must be a 2-D boolean array")
         mask = cls.__new__(cls)
-        mask._rows, mask._cols = keep.shape
-        lookup = keep.copy()
-        lookup.setflags(write=False)
-        mask._lookup = lookup
+        mask._lookup = keep.copy()
+        mask._lookup.setflags(write=False)
         return mask
 
     @classmethod
     def full(cls, rows: int, cols: int) -> "ObservationMask":
         return cls.from_lookup(np.ones((rows, cols), dtype=bool))
 
-    @classmethod
-    def empty(cls, rows: int, cols: int) -> "ObservationMask":
-        return cls.from_lookup(np.zeros((rows, cols), dtype=bool))
-
-    @property
-    def rows(self) -> int:
-        return self._rows
-
-    @property
-    def cols(self) -> int:
-        return self._cols
-
     @property
     def shape(self) -> tuple[int, int]:
-        return (self._rows, self._cols)
+        return self._lookup.shape
 
     @property
     def lookup(self) -> np.ndarray:
@@ -126,24 +108,16 @@ class ObservationMask:
         """Mask of the unobserved entries; involutive."""
         return ObservationMask.from_lookup(~self._lookup)
 
-    def __contains__(self, pair) -> bool:
-        i, j = pair
-        if not (0 <= i < self._rows and 0 <= j < self._cols):
-            return False
-        return bool(self._lookup[i, j])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ObservationMask):
             return NotImplemented
-        return self.shape == other.shape and bool(
-            np.array_equal(self._lookup, other._lookup)
-        )
+        return bool(np.array_equal(self._lookup, other._lookup))
 
     def __hash__(self):
         return hash((self.shape, self._lookup.tobytes()))
 
     def __repr__(self) -> str:
-        return f"ObservationMask({self._rows}x{self._cols}, observed={self.size})"
+        return f"ObservationMask({self.shape[0]}x{self.shape[1]}, observed={self.size})"
 
 
 def _index_pairs(observed) -> np.ndarray:

@@ -11,12 +11,13 @@ from .errors import NumericalError
 from .matrix import frobenius_norm
 
 __all__ = [
-    "error_ratio",
     "ratio_from_errors",
     "relative_error",
     "incoherence",
     "IncoherenceStats",
 ]
+
+_RANK_REL_CUTOFF = 1e-10  # relative to sigma_max, in incoherence's rank-r SVD
 
 
 def ratio_from_errors(err_reg: float, err_nnm: float, exact_tol: float = 1e-12) -> float:
@@ -33,27 +34,6 @@ def ratio_from_errors(err_reg: float, err_nnm: float, exact_tol: float = 1e-12) 
     if err_reg <= exact_tol:
         return math.nan
     return math.inf
-
-
-def error_ratio(
-    m_reg: np.ndarray,
-    m_nnm: np.ndarray,
-    m_true: np.ndarray,
-    exact_tol: float = 1e-12,
-) -> float:
-    """||m_reg - m_true||_F / ||m_nnm - m_true||_F; below 1 means the
-    regularized method wins.  Degenerate denominators follow
-    :func:`ratio_from_errors`."""
-    m_reg = np.asarray(m_reg, dtype=np.float64)
-    m_nnm = np.asarray(m_nnm, dtype=np.float64)
-    m_true = np.asarray(m_true, dtype=np.float64)
-    if not (m_reg.shape == m_nnm.shape == m_true.shape):
-        raise ValueError(
-            f"shapes disagree: {m_reg.shape}, {m_nnm.shape}, {m_true.shape}"
-        )
-    return ratio_from_errors(
-        frobenius_norm(m_reg - m_true), frobenius_norm(m_nnm - m_true), exact_tol
-    )
 
 
 def relative_error(m_hat: np.ndarray, m_true: np.ndarray) -> float:
@@ -73,10 +53,10 @@ class IncoherenceStats(NamedTuple):
     rank: int
 
 
-def incoherence(m: np.ndarray, rank_cutoff: float = 1e-10) -> IncoherenceStats:
+def incoherence(m: np.ndarray) -> IncoherenceStats:
     """Smallest mu satisfying each standard incoherence condition of ``m``.
 
-    From the rank-r SVD (numerical rank at ``rank_cutoff * sigma_max``):
+    From the rank-r SVD (numerical rank at ``_RANK_REL_CUTOFF * sigma_max``):
 
     * mu_row = (n1/r) * max_i ||U^T e_i||^2
     * mu_col = (n2/r) * max_i ||V^T e_i||^2
@@ -91,7 +71,7 @@ def incoherence(m: np.ndarray, rank_cutoff: float = 1e-10) -> IncoherenceStats:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed while computing incoherence: {exc}") from exc
-    r = int(np.sum(s > rank_cutoff * s[0]))
+    r = int(np.sum(s > _RANK_REL_CUTOFF * s[0]))
     u = u[:, :r]
     vt = vt[:r, :]
     n1, n2 = m.shape

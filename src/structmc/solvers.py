@@ -114,8 +114,9 @@ NUMERICAL_FAILURE = "numerical-failure"
 
 # singular values below this (relative to sigma_max) count as zero in rank reports
 _RANK_REL_CUTOFF = 1e-6
-# residual balancing changes the penalty at most this many times per solve
-_MAX_PENALTY_CHANGES = 20
+# residual balancing scales the penalty by _BALANCE_FACTOR when one residual exceeds
+# _BALANCE_RATIO times the other, at most _MAX_PENALTY_CHANGES times per solve
+_BALANCE_RATIO, _BALANCE_FACTOR, _MAX_PENALTY_CHANGES = 10.0, 2.0, 20
 # Anderson acceleration extrapolates from this many past steps (0 turns it off)
 _ANDERSON_MEMORY = 3
 # Tikhonov weight of the Anderson least squares, relative to its Gram trace
@@ -126,9 +127,9 @@ _ANDERSON_REG = 1e-5
 class CompletionProblem:
     """Observed data, mask, formulation and its parameters.
 
-    ``alpha`` is required positive for the regularized formulations and
-    ignored otherwise; ``rho`` likewise for the noisy ones.  Only the masked
-    entries of ``observed_values`` are meaningful.
+    ``alpha`` is required positive and finite for the regularized
+    formulations and ignored otherwise; ``rho`` likewise for the noisy ones.
+    Only the masked entries of ``observed_values`` are meaningful.
     """
 
     observed_values: np.ndarray
@@ -150,10 +151,10 @@ class CompletionProblem:
             )
         if self.mask.size == 0:
             raise ValueError("mask must observe at least one entry")
-        if self.formulation in NEEDS_ALPHA and not self.alpha > 0.0:
-            raise ValueError(f"{self.formulation} requires alpha > 0, got {self.alpha}")
-        if self.formulation in NEEDS_RHO and not self.rho > 0.0:
-            raise ValueError(f"{self.formulation} requires rho > 0, got {self.rho}")
+        if self.formulation in NEEDS_ALPHA and not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"{self.formulation} requires 0 < alpha < inf, got {self.alpha}")
+        if self.formulation in NEEDS_RHO and not 0.0 < self.rho < math.inf:
+            raise ValueError(f"{self.formulation} requires 0 < rho < inf, got {self.rho}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -183,8 +184,8 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         for name in ("primal_tol", "dual_tol", "admm_penalty"):
             v = getattr(self, name)
-            if not v > 0.0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,12 +219,12 @@ class SolveResult:
     _state: tuple | None = field(repr=False, default=None)
 
 
-def estimate_rank(m: np.ndarray, rel_cutoff: float = _RANK_REL_CUTOFF) -> int:
-    """Count singular values above ``rel_cutoff * sigma_max``."""
+def estimate_rank(m: np.ndarray) -> int:
+    """Count singular values above ``_RANK_REL_CUTOFF * sigma_max``."""
     s = np.linalg.svd(np.asarray(m, dtype=np.float64), compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    return int(np.sum(s > rel_cutoff * s[0]))
+    return int(np.sum(s > _RANK_REL_CUTOFF * s[0]))
 
 
 def objective_value(
@@ -252,12 +253,12 @@ def _tolerances(cfg: SolverConfig, shape) -> tuple[float, float]:
     return cfg.primal_tol * scale, cfg.dual_tol * scale
 
 
-def _balance_penalty(pen, u, rnorm, snorm, ratio=10.0, factor=2.0):
+def _balance_penalty(pen, u, rnorm, snorm):
     """Residual balancing; rescales the scaled dual so y = pen*u is kept."""
-    if rnorm > ratio * snorm:
-        return pen * factor, u / factor
-    if snorm > ratio * rnorm:
-        return pen / factor, u * factor
+    if rnorm > _BALANCE_RATIO * snorm:
+        return pen * _BALANCE_FACTOR, u / _BALANCE_FACTOR
+    if snorm > _BALANCE_RATIO * rnorm:
+        return pen / _BALANCE_FACTOR, u * _BALANCE_FACTOR
     return pen, u
 
 

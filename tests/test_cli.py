@@ -186,6 +186,16 @@ class TestComplete:
         else:
             assert run_cli(*base, *required, *rho) == 2
             assert run_cli(*base, *required, *sigma) == 2
+        # an infinite weight is a usage error, not a NaN objective
+        if needs_alpha:
+            assert run_cli(*base, "--alpha", "inf", *(rho if needs_rho else [])) == 2
+        if needs_rho:
+            assert run_cli(*base, *(alpha if needs_alpha else []), "--rho", "inf") == 2
+            assert run_cli(*base, *(alpha if needs_alpha else []), "--sigma", "inf") == 2
+        sparse_out = tmp_path / "s.csv"
+        code = run_cli(*base, *required, "--sparse-out", str(sparse_out))
+        assert code == (0 if mode == "rpca-restricted" else 2)
+        assert sparse_out.exists() == (mode == "rpca-restricted")
 
     def test_unknown_mode_is_usage_error(self, tmp_path):
         code = run_cli("complete", "--input", "x.csv", "--mode", "magic", "--output", "y.csv")
@@ -202,7 +212,7 @@ class TestComplete:
 
     @pytest.mark.parametrize("flag,value", [
         ("--max-iters", "0"), ("--primal-tol", "-1"), ("--primal-tol", "nan"),
-        ("--dual-tol", "0"), ("--penalty", "0"),
+        ("--dual-tol", "0"), ("--penalty", "0"), ("--penalty", "inf"), ("--primal-tol", "inf"),
     ])
     def test_bad_solver_flag_is_usage_error_before_any_read(self, tmp_path, capsys, flag, value):
         # the input does not exist: the flag is rejected before it is read

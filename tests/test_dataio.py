@@ -104,21 +104,13 @@ class TestMatrixCsv:
         with pytest.raises(CsvParseError):
             ingest_matrix_csv(path, policy="mask")
 
-    def test_emit_with_mask_writes_holes(self, tmp_path):
-        mask = ObservationMask(2, 2, [(0, 0), (1, 1)])
-        path = tmp_path / "holes_out.csv"
-        emit_matrix_csv(path, np.array([[1.0, 2.0], [3.0, 4.0]]), mask)
-        assert path.read_text() == "1.0,\n,4.0\n"
-
-    def test_emit_single_column_hole_is_quoted(self, tmp_path):
-        # as csv writes it: an empty line would read back as no row at all
-        mask = ObservationMask(3, 1, [(0, 0), (2, 0)])
+    def test_ingest_single_column_quoted_hole(self, tmp_path):
+        # as csv writes a one-cell row that is empty: a blank line is no row at all
         path = tmp_path / "column.csv"
-        emit_matrix_csv(path, np.array([[1.5], [2.0], [-0.0]]), mask)
-        assert path.read_text() == '1.5\n""\n-0.0\n'
+        path.write_text('1.5\n""\n-0.0\n')
         back, inferred = ingest_matrix_csv(path, policy="mask")
-        assert back.shape == (3, 1)
-        assert inferred == mask
+        assert back.tobytes() == np.array([[1.5], [0.0], [-0.0]]).tobytes()
+        assert inferred == ObservationMask(3, 1, [(0, 0), (2, 0)])
 
 
 def _outcome(read):
@@ -173,7 +165,9 @@ class TestMatrixCsvNumpyParse:
         m = stream(3, "numpy-parse").standard_normal((6, 5)) * 1e3
         mask = ObservationMask.from_lookup(stream(3, "numpy-parse-mask").random((6, 5)) < 0.6)
         path = tmp_path / "holes.csv"
-        emit_matrix_csv(path, m, mask)
+        path.write_text("".join(
+            ",".join(repr(v) if k else "" for v, k in zip(row, keep)) + "\n"
+            for row, keep in zip(m.tolist(), mask.lookup.tolist())))
         matrix, observed = _parse_plain_matrix(path)
         assert matrix.tobytes() == np.where(mask.lookup, m, 0.0).tobytes()
         np.testing.assert_array_equal(observed, mask.lookup)
@@ -319,6 +313,14 @@ class TestConfig:
         with pytest.raises(ConfigError) as info:
             load_config(path)
         assert "max_iters" in str(info.value)
+
+    @pytest.mark.parametrize("key", ["admm_penalty", "primal_tol", "dual_tol"])
+    def test_infinite_solver_value_is_config_error(self, tmp_path, key):
+        path = tmp_path / "cfg.ini"
+        path.write_text(SYNTH_CONFIG + f"{key} = inf\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert key in str(info.value)
 
     def test_unknown_solver_key(self, tmp_path):
         path = tmp_path / "cfg.ini"

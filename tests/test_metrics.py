@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from structmc import (
-    error_ratio,
+    frobenius_norm,
     incoherence,
     ratio_from_errors,
     relative_error,
@@ -12,29 +12,34 @@ from structmc import (
 )
 
 
+def _error_ratio(m_reg, m_nnm, m_true):
+    """The README's error ratio: ||m_reg - m_true||_F / ||m_nnm - m_true||_F."""
+    return ratio_from_errors(frobenius_norm(m_reg - m_true), frobenius_norm(m_nnm - m_true))
+
+
 class TestErrorRatio:
     def test_regularized_exact_gives_zero(self):
         t = np.ones((2, 2))
-        assert error_ratio(t, t + 1.0, t) == 0.0
+        assert _error_ratio(t, t + 1.0, t) == 0.0
 
     def test_equal_estimates_give_one(self):
         t = np.ones((2, 2))
         a = t + 0.5
-        assert error_ratio(a, a, t) == pytest.approx(1.0, abs=1e-15)
+        assert _error_ratio(a, a, t) == pytest.approx(1.0, abs=1e-15)
 
     def test_below_one_means_regularized_wins(self):
         t = np.zeros((2, 2))
         reg = t + 0.1
         nnm = t + 0.2
-        assert error_ratio(reg, nnm, t) < 1.0
+        assert _error_ratio(reg, nnm, t) < 1.0
 
     def test_both_exact_sentinel(self):
         t = np.ones((2, 2))
-        assert math.isnan(error_ratio(t, t, t))
+        assert math.isnan(_error_ratio(t, t, t))
 
     def test_baseline_exact_only_sentinel(self):
         t = np.ones((2, 2))
-        assert math.isinf(error_ratio(t + 1.0, t, t))
+        assert math.isinf(_error_ratio(t + 1.0, t, t))
 
     def test_ratio_from_errors_branches(self):
         assert ratio_from_errors(0.5, 1.0) == 0.5
@@ -43,10 +48,6 @@ class TestErrorRatio:
         assert math.isinf(ratio_from_errors(1.0, 0.0))
         # custom tolerance widens the both-exact band
         assert math.isnan(ratio_from_errors(1e-8, 1e-8, exact_tol=1e-6))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            error_ratio(np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 2)))
 
 
 class TestRelativeError:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -68,9 +70,19 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             CompletionProblem(np.ones((2, 2)), ObservationMask.full(2, 2), "nnm-noisy")
 
+    @pytest.mark.parametrize("param", ["alpha", "rho"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_alpha_and_rho_must_be_positive_and_finite(self, param, value):
+        mode = "nnm-noisy-reg"
+        other = "rho" if param == "alpha" else "alpha"
+        with pytest.raises(ValueError, match=f"0 < {param} < inf"):
+            CompletionProblem(np.ones((2, 2)), ObservationMask.full(2, 2), mode,
+                              **{param: value, other: 0.1})
+
     def test_mask_nonempty(self):
+        empty = ObservationMask.from_lookup(np.zeros((2, 2), dtype=bool))
         with pytest.raises(ValueError):
-            CompletionProblem(np.ones((2, 2)), ObservationMask.empty(2, 2), "nnm-exact")
+            CompletionProblem(np.ones((2, 2)), empty, "nnm-exact")
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -81,6 +93,9 @@ class TestProblemValidation:
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(primal_tol=0.0)
+        for name in ("primal_tol", "dual_tol", "admm_penalty"):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: math.inf})
 
     def test_wrong_formulation_routed(self):
         p = CompletionProblem(ONES_OBS, ONES_MASK, "nnm-exact")
