@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -100,14 +99,14 @@ def cmd_complete(args) -> int:
         cfg = _solver_config(args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    matrix, inferred = ingest_matrix_csv(args.input, policy="mask")
-    if args.mask is not None:
-        mask = ingest_mask_csv(args.mask, matrix.shape[0], matrix.shape[1])
-    elif args.infer_mask:
-        mask = inferred
-    else:
+    if args.mask is None and not args.infer_mask:
         raise UsageError("provide --mask FILE or --infer-mask")
     _check_mode_flags(args)
+    matrix, mask = ingest_matrix_csv(args.input, policy="mask")
+    if args.mask is not None:
+        mask = ingest_mask_csv(args.mask, matrix.shape[0], matrix.shape[1])
+    if mask.size == 0:
+        raise ValueError(f"{args.mask or args.input}: no entry is observed")
     rho = args.rho
     try:
         if args.sigma is not None:
@@ -147,10 +146,7 @@ def cmd_complete(args) -> int:
         "status": result.status,
         "solver": dataclasses.asdict(cfg),
     }
-    diag_path = args.diagnostics or args.output + ".diag.json"
-    with open(diag_path, "w") as fh:
-        json.dump(diagnostics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_manifest(args.diagnostics or args.output + ".diag.json", diagnostics)
     if result.status == NUMERICAL_FAILURE:
         print(f"numerical failure after {result.iterations} iterations", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -210,14 +206,13 @@ def cmd_benchmark(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     config = load_config(args.config)
+    spec = config.spec
     os.makedirs(args.outdir, exist_ok=True)
     started = time.monotonic()
-    if config.kind == "synthetic":
-        spec = config.grid
+    if config.matrix_path is None:
         result = run_grid(spec, workers=args.workers, strict=False)
     else:
         matrix, _ = ingest_matrix_csv(config.matrix_path, policy="strict")
-        spec = config.sweep
         result = run_real_matrix(matrix, spec, workers=args.workers, strict=False)
     wall = time.monotonic() - started
     write_results_csv(os.path.join(args.outdir, "results.csv"), result)
@@ -236,7 +231,7 @@ def cmd_benchmark(args) -> int:
         if r.error is None and (r.status_baseline, r.status_reg) != (CONVERGED, CONVERGED)
     )
     manifest = {
-        "kind": config.kind,
+        "kind": "synthetic" if config.matrix_path is None else "real",
         "config_file": os.path.abspath(args.config),
         "base_seed": spec.base_seed,
         "trials": spec.trials,

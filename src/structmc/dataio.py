@@ -237,10 +237,10 @@ def _mask(path, rows: int, cols: int, flat: np.ndarray) -> ObservationMask:
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    kind: str  # "synthetic" or "real"
-    grid: ExperimentGrid | None = None
-    sweep: RealSweep | None = None
-    matrix_path: str | None = None
+    """A synthetic grid, or a sweep of the ground truth at ``matrix_path``."""
+
+    spec: ExperimentGrid | RealSweep
+    matrix_path: str | None = None  # None for a synthetic grid
 
 
 def _require(cp, section: str, key: str) -> str:
@@ -330,7 +330,7 @@ def load_config(path) -> BenchmarkConfig:
                 density_left=_get_float(cp, "generator", "density_left"),
                 density_right=_get_float(cp, "generator", "density_right"),
             )
-            return BenchmarkConfig(kind=kind, grid=ExperimentGrid(generator=generator, **common))
+            return BenchmarkConfig(ExperimentGrid(generator=generator, **common))
         if not cp.has_section("real"):
             raise ConfigError("real: missing required section (real runs)")
         matrix_rel = _require(cp, "real", "matrix")
@@ -338,8 +338,7 @@ def load_config(path) -> BenchmarkConfig:
         row_subsample = None
         if cp.has_option("real", "row_subsample"):
             row_subsample = _get_int(cp, "real", "row_subsample")
-        sweep = RealSweep(row_subsample=row_subsample, **common)
-        return BenchmarkConfig(kind=kind, sweep=sweep, matrix_path=matrix_path)
+        return BenchmarkConfig(RealSweep(row_subsample=row_subsample, **common), matrix_path)
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -377,7 +376,7 @@ def write_heatmap_csv(path, zero_rates, nonzero_rates, table) -> None:
 
 
 def write_manifest(path, payload: dict) -> None:
-    """JSON run manifest (parameters, versions, wall time)."""
+    """JSON run manifest or solve diagnostics: sorted keys, two-space indent."""
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

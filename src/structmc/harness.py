@@ -336,10 +336,6 @@ def _grid_tasks(grid):
     ]
 
 
-def _cell_worker(args):
-    return run_cell(*args)
-
-
 # BLAS thread-count variables that sweep workers get as 1 when none is set
 _WORKER_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -368,7 +364,7 @@ def _one_blas_thread_per_process():
 
 
 def _run_tasks(tasks, worker, payloads, workers, strict):
-    """Run ``worker(payload)`` per (cell, trial) task and keep task order.
+    """Run ``worker(*payload)`` per (cell, trial) task and keep task order.
 
     ``workers`` > 1 runs the tasks in that many spawned processes, with one
     BLAS thread each unless the caller set a thread-count variable.
@@ -390,10 +386,10 @@ def _run_tasks(tasks, worker, payloads, workers, strict):
             # stays set until every task is submitted
             with _one_blas_thread_per_process():
                 pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-                futures = [pool.submit(worker, p) for p in payloads]
+                futures = [pool.submit(worker, *p) for p in payloads]
             outcomes = (fut.result for fut in futures)
         else:
-            outcomes = (functools.partial(worker, p) for p in payloads)
+            outcomes = (functools.partial(worker, *p) for p in payloads)
         for (cell, trial), outcome in zip(tasks, outcomes):
             try:
                 records.append(outcome())
@@ -418,7 +414,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1, strict: bool = True) -> Gri
     """
     tasks = _grid_tasks(grid)
     payloads = [(grid, cell, trial) for cell, trial in tasks]
-    return _aggregate(grid, _run_tasks(tasks, _cell_worker, payloads, workers, strict))
+    return _aggregate(grid, _run_tasks(tasks, run_cell, payloads, workers, strict))
 
 
 def _real_trial(truth, sweep, cell, trial_index):
@@ -454,8 +450,4 @@ def run_real_matrix(
             truths[trial] = truth_full
     tasks = _grid_tasks(sweep)
     payloads = [(truths[trial], sweep, cell, trial) for cell, trial in tasks]
-    return _aggregate(sweep, _run_tasks(tasks, _real_worker, payloads, workers, strict))
-
-
-def _real_worker(args):
-    return _real_trial(*args)
+    return _aggregate(sweep, _run_tasks(tasks, _real_trial, payloads, workers, strict))

@@ -73,6 +73,7 @@ import numpy as np
 from .errors import NumericalError, OracleBudgetError
 from .matrix import (
     ObservationMask,
+    _check_shape,
     as_matrix,
     entrywise_l1,
     frobenius_norm,
@@ -144,11 +145,7 @@ class CompletionProblem:
             raise ValueError(
                 f"unknown formulation {self.formulation!r}; expected one of {FORMULATIONS}"
             )
-        if self.observed_values.shape != self.mask.shape:
-            raise ValueError(
-                f"observed values shape {self.observed_values.shape} does not match "
-                f"mask shape {self.mask.shape}"
-            )
+        _check_shape(self.observed_values, self.mask)
         if self.mask.size == 0:
             raise ValueError("mask must observe at least one entry")
         if self.formulation in NEEDS_ALPHA and not 0.0 < self.alpha < math.inf:

@@ -10,9 +10,10 @@ floats by their IEEE-754 bit pattern, and string tags through blake2s.
 Distinct (seed, path) pairs therefore get independent streams, and the same
 pair reproduces bit-identical draws on any platform.  Gaussian variates are
 produced by inverse-CDF over 53-bit uniforms (not the ziggurat), so noise
-streams are portable too.  The draws of the package run in numpy alone;
-any other call, such as a test's ``standard_normal``, continues on numpy's
-own Generator from the same position (see :func:`stream`).
+streams are portable too.  The draws of the package, ``random(size)`` and
+``permutation(n)``, run in numpy alone; any other call, such as a test's
+``standard_normal``, continues on numpy's own Generator from the same
+position (see :func:`stream`).
 
 Draw order is part of the contract and is documented on each operation.
 """
@@ -26,14 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSamplingError
-from .matrix import ObservationMask, as_matrix
+from .matrix import ObservationMask, _check_shape, as_matrix
 
 __all__ = [
     "GeneratorSpec",
     "SamplingSpec",
     "stream",
     "derive_seed",
-    "normal_draws",
     "generate_low_rank",
     "sample_structured_mask",
     "add_noise",
@@ -117,13 +117,6 @@ class _Stream:
             return self._handoff().random(size, *args, **kwargs)
         return (self._words(size) >> 11) * 2.0**-53
 
-    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
-        # numpy's bounded draw on [0, 2^53) is word >> 11 and never rejects
-        if size is None or ((type(low), type(high), low, high, dtype, endpoint)
-                            != (int, int, 0, 1 << 53, np.int64, False)):
-            return self._handoff().integers(low, high, size, dtype, endpoint)
-        return (self._words(size) >> 11).astype(np.int64)
-
     def permutation(self, x):
         if not isinstance(x, int):
             return self._handoff().permutation(x)
@@ -161,8 +154,7 @@ class _Stream:
                                 "key": self._key}, "buffer": _philox(self._key, blocks, 1),
                       "buffer_pos": self._pos - 4 * (blocks - 1)}
         self._gen = Generator(bits)
-        self.random, self.integers, self.permutation = (
-            self._gen.random, self._gen.integers, self._gen.permutation)
+        self.random, self.permutation = self._gen.random, self._gen.permutation
         return self._gen
 
     def __getattr__(self, name):
@@ -173,10 +165,9 @@ class _Stream:
 
 def stream(seed: int, *path) -> _Stream:
     """The Philox stream keyed by ``seed`` and a folded ``path``: numpy's
-    ``Generator(Philox(key))`` draws, with ``random(size)``, ``permutation(n)``
-    and ``integers(0, 2**53, size, dtype=np.int64)`` run in numpy alone.  Any
-    other call hands the stream at its position to numpy's Generator, which
-    then serves every call."""
+    ``Generator(Philox(key))`` draws, with ``random(size)`` and
+    ``permutation(n)`` run in numpy alone.  Any other call hands the stream
+    at its position to numpy's Generator, which then serves every call."""
     return _Stream(np.array([int(seed) & _MASK64, derive_seed(seed, *path)], dtype=np.uint64))
 
 
@@ -246,7 +237,7 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def normal_draws(rng, shape, sigma: float = 1.0) -> np.ndarray:
+def _normal_draws(rng, shape, sigma: float = 1.0) -> np.ndarray:
     """Gaussian draws via inverse-CDF over 53-bit uniforms (portable).
 
     Each draw is ``sigma * ndtri(u)`` with u = (k + 0.5) * 2^-53 for a
@@ -254,10 +245,10 @@ def normal_draws(rng, shape, sigma: float = 1.0) -> np.ndarray:
     numpy port of Cephes ``ndtri``; ``tests/test_synth.py`` checks it
     against scipy's ``ndtri`` bit for bit.
     """
-    n = int(np.prod(shape))
-    # k + 0.5 rounds to 2^53 for the top k; the cap keeps u below 1, so
-    # every u lies strictly inside (0, 1) and every draw is finite
-    u = (rng.integers(0, 1 << 53, size=n, dtype=np.int64) + 0.5) * 2.0**-53
+    # random() is k * 2^-53 exactly, so adding 2^-54 rounds as (k + 0.5) * 2^-53
+    # does: to 1.0 for the top k, which the cap keeps below 1, so every u
+    # lies strictly inside (0, 1) and every draw is finite
+    u = rng.random(int(np.prod(shape))) + 2.0**-54
     return (sigma * _ndtri(np.minimum(u, 1.0 - 2.0**-53))).reshape(shape)
 
 
@@ -365,12 +356,10 @@ def add_noise(m: np.ndarray, sigma: float, mask: ObservationMask, seed: int) -> 
     if sigma < 0.0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     m = np.asarray(m, dtype=np.float64)
-    if m.shape != mask.shape:
-        raise ValueError(f"matrix shape {m.shape} does not match mask shape {mask.shape}")
+    _check_shape(m, mask)
     if sigma == 0.0:
         return m
-    rng = stream(seed, "gaussian-noise")
-    z = normal_draws(rng, m.shape, sigma)
+    z = _normal_draws(stream(seed, "gaussian-noise"), m.shape, sigma)
     return as_matrix(np.where(mask.lookup, m + z, m))
 
 

@@ -213,12 +213,25 @@ class TestComplete:
     @pytest.mark.parametrize("flag,value", [
         ("--max-iters", "0"), ("--primal-tol", "-1"), ("--primal-tol", "nan"),
         ("--dual-tol", "0"), ("--penalty", "0"), ("--penalty", "inf"), ("--primal-tol", "inf"),
+        ("--alpha", "0.1"), ("--rho", "0.1"), ("--sparse-out", "s.csv"),
     ])
     def test_bad_solver_flag_is_usage_error_before_any_read(self, tmp_path, capsys, flag, value):
         # the input does not exist: the flag is rejected before it is read
         code = run_cli(
             "complete", "--input", str(tmp_path / "missing.csv"), "--infer-mask",
             "--mode", "nnm-exact", "--output", str(tmp_path / "o.csv"), flag, value,
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("mode,mask_flags", [
+        ("nnm-exact", ()), ("nnm-reg", ("--mask", "missing_mask.csv")),
+    ], ids=["no-mask-flag", "no-alpha"])
+    def test_missing_flag_is_usage_error_before_any_read(self, tmp_path, capsys, mode, mask_flags):
+        # no mask source, or no --alpha: neither file exists, and neither is read
+        code = run_cli(
+            "complete", "--input", str(tmp_path / "missing.csv"), *mask_flags,
+            "--mode", mode, "--output", str(tmp_path / "o.csv"),
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("usage error: ")
@@ -424,6 +437,19 @@ class TestFileErrors:
         code = run_cli("complete", "--input", paths["--input"], "--mask", paths["--mask"],
                        "--mode", "nnm-exact", "--output", d + "/o.csv")
         self._assert_data_error(capsys, code, d + "/nope.csv")
+
+    @pytest.mark.parametrize("source", ["--infer-mask", "--mask"])
+    def test_input_that_observes_nothing(self, tmp_path, capsys, source):
+        # the flags are valid; the file that gives the mask observes no entry
+        d = self._inputs(tmp_path)
+        (tmp_path / "blank.csv").write_text(",\n,\n")
+        (tmp_path / "empty.csv").write_text("")
+        if source == "--infer-mask":
+            path, flags = d + "/blank.csv", ["--input", d + "/blank.csv", "--infer-mask"]
+        else:
+            path, flags = d + "/empty.csv", ["--input", d + "/m.csv", "--mask", d + "/empty.csv"]
+        code = run_cli("complete", *flags, "--mode", "nnm-exact", "--output", d + "/o.csv")
+        self._assert_data_error(capsys, code, path)
 
     def test_complete_output_in_missing_directory(self, tmp_path, capsys):
         d = self._inputs(tmp_path)

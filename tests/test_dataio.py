@@ -12,6 +12,7 @@ from structmc import (
     GeneratorSpec,
     GridResult,
     ObservationMask,
+    RealSweep,
     TrialRecord,
     run_grid,
     stream,
@@ -263,8 +264,9 @@ class TestConfig:
         path.write_text(SYNTH_CONFIG)
         config = load_config(path)
         assert isinstance(config, BenchmarkConfig)
-        assert config.kind == "synthetic"
-        grid = config.grid
+        assert config.matrix_path is None
+        grid = config.spec
+        assert isinstance(grid, ExperimentGrid)
         assert grid.zero_rates == (0.2, 0.8)
         assert grid.nonzero_rates == (0.9,)
         assert grid.alphas == (0.1, 0.01)
@@ -277,8 +279,8 @@ class TestConfig:
         path = tmp_path / "cfg.ini"
         path.write_text(REAL_CONFIG)
         config = load_config(path)
-        assert config.kind == "real"
-        assert config.sweep.row_subsample == 4
+        assert isinstance(config.spec, RealSweep)
+        assert config.spec.row_subsample == 4
         assert config.matrix_path == str(tmp_path / "truth.csv")
 
     def test_missing_file(self, tmp_path):

@@ -357,7 +357,7 @@ class TestSweepExecutor:
         for name in harness._WORKER_BLAS_THREADS:
             monkeypatch.delenv(name, raising=False)
         tasks = [((0.3, 0.8), 0), ((0.3, 0.8), 1)]
-        seen = harness._run_tasks(tasks, _blas_thread_vars, [None, None], 2, True)
+        seen = harness._run_tasks(tasks, _blas_thread_vars, [(None,), (None,)], 2, True)
         assert seen == [("spawn", "1", "1"), ("spawn", "1", "1")]
         assert not any(name in os.environ for name in harness._WORKER_BLAS_THREADS)
 

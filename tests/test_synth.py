@@ -12,13 +12,12 @@ from structmc import (
     add_noise,
     derive_seed,
     generate_low_rank,
-    normal_draws,
     rho_for_noise,
     sample_structured_mask,
     stream,
 )
 from structmc.errors import InvalidSamplingError
-from structmc.synth import _ndtri, _Stream
+from structmc.synth import _ndtri, _normal_draws, _Stream
 
 
 class TestStream:
@@ -40,7 +39,7 @@ class TestStream:
         stream(-5, "x").random(3)
 
     def test_normal_draws_inverse_cdf_symmetric(self):
-        z = normal_draws(stream(7, "gauss"), (2000,), 1.0)
+        z = _normal_draws(stream(7, "gauss"), (2000,), 1.0)
         assert abs(z.mean()) < 0.1
         assert abs(z.std() - 1.0) < 0.05
 
@@ -55,8 +54,6 @@ def _draw(rng, call):
     kind, arg = call
     if kind == "random":
         return rng.random(arg)
-    if kind == "integers":
-        return rng.integers(0, 1 << 53, size=arg, dtype=np.int64)
     return rng.permutation(arg)
 
 
@@ -70,7 +67,6 @@ KEY_WORDS = st.sampled_from([0, 1, (1 << 64) - 1]) | st.integers(0, (1 << 64) - 
 # permutation of an odd count of half-words leaves a high half pending
 PORTED_CALLS = st.lists(
     st.tuples(st.just("random"), st.sampled_from([1, 3, 5, 7, 60, (2, 3), (5, 1), np.int64(2)]))
-    | st.tuples(st.just("integers"), st.sampled_from([1, 2, 3, 9, 1500, (3, 5)]))
     | st.tuples(st.just("permutation"), st.sampled_from([0, 1, 2, 3, 31, 32, 33, 900, 5000])),
     min_size=1, max_size=8,
 )
@@ -102,7 +98,7 @@ class TestPortedStream:
         # word pending; random draws whole words and leaves it pending too
         port, ref = _pair([7, 0])
         for call in [("permutation", 2), ("random", 3), ("permutation", 2),
-                     ("permutation", 33), ("integers", 5), ("permutation", 3)]:
+                     ("permutation", 33), ("random", 5), ("permutation", 3)]:
             _assert_same_draw(_draw(port, call), _draw(ref, call))
         assert port._has32 == ref.bit_generator.state["has_uint32"]
 
@@ -131,7 +127,7 @@ class TestPortedStream:
 
 
 def _grid_u(k):
-    """The uniforms ``normal_draws`` feeds the inverse CDF, before the cap."""
+    """The uniforms ``_normal_draws`` feeds the inverse CDF, before the cap."""
     return (np.asarray(k, dtype=np.int64) + 0.5) * 2.0**-53
 
 
@@ -162,13 +158,20 @@ class TestNdtri:
         u = np.array([v for p in points for v in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0))])
         _assert_bits_equal(_ndtri(u), scipy.special.ndtri(u))
 
+    def test_half_offset_uniforms_round_as_the_grid(self):
+        # random() gives k * 2^-53 exactly; adding 2^-54 must round as k + 0.5 does
+        top = 1 << 53
+        k = np.concatenate([np.arange(5000), np.arange(top - 5000, top),
+                            np.random.default_rng(7).integers(0, top, size=100_000)])
+        _assert_bits_equal(k * 2.0**-53 + 2.0**-54, _grid_u(k))
+
     def test_normal_draws_stay_finite_at_the_top_of_the_grid(self):
         class Stub:
-            def integers(self, low, high, size, dtype):
-                assert (low, high, size, dtype) == (0, 1 << 53, 3, np.int64)
-                return np.array([0, (1 << 53) - 2, (1 << 53) - 1], dtype=np.int64)
+            def random(self, size):
+                assert size == 3
+                return np.array([0, (1 << 53) - 2, (1 << 53) - 1], dtype=np.int64) * 2.0**-53
 
-        z = normal_draws(Stub(), (3,), 2.0)
+        z = _normal_draws(Stub(), (3,), 2.0)
         assert np.all(np.isfinite(z))
         # k = 2^53 - 1 gives u = 1.0 uncapped; the other two are unchanged
         _assert_bits_equal(z[:2], 2.0 * scipy.special.ndtri(_grid_u([0, (1 << 53) - 2])))
