@@ -140,6 +140,7 @@ def cmd_complete(args) -> int:
         "penalty_changes": result.penalty_changes,
         "accelerated_steps": result.accelerated_steps,
         "rejected_steps": result.rejected_steps,
+        "warm_svt_steps": result.warm_svt_steps,
         "primal_residual": result.primal_residual,
         "dual_residual": result.dual_residual,
         "rank_estimate": result.rank_estimate,

@@ -62,6 +62,7 @@ class TestComplete:
         assert diag["observed"] == 4
         assert 0 <= diag["penalty_changes"] <= diag["iterations"]
         assert 0 <= diag["rejected_steps"] <= diag["accelerated_steps"] <= diag["iterations"]
+        assert 0 <= diag["warm_svt_steps"] < diag["iterations"]
 
     def test_one_missing_cell_completes_to_one(self, tmp_path):
         src = tmp_path / "m.csv"

@@ -318,3 +318,86 @@ class TestSvtGramRoute:
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_empty_input(self, shape):
         assert svt(np.zeros(shape), 1.0).shape == shape
+
+
+WARM_PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+def _warm_instance(seed, shape, kept, gap):
+    """A matrix with ``kept`` singular values above tau = 1 and the rest below
+    ``1 - gap``, and the right singular vectors of its tall orientation."""
+    rng = stream(seed, "svt-warm")
+    r = min(shape)
+    q1, _ = np.linalg.qr(rng.standard_normal((shape[0], r)))
+    q2, _ = np.linalg.qr(rng.standard_normal((shape[1], r)))
+    above = 1.0 + gap + 100.0 * rng.random(kept)
+    below = (1.0 - gap) * rng.random(r - kept)
+    s = np.sort(np.concatenate([above, below]))[::-1]
+    m = (q1 * s) @ q2.T
+    right = q1 if shape[0] < shape[1] else q2
+    return m, s[0], right
+
+
+def _rotated_block(seed, columns):
+    """An orthonormal basis of the span of ``columns``, mixed by a random rotation."""
+    q, _ = np.linalg.qr(columns)
+    mix, _ = np.linalg.qr(stream(seed, "svt-warm-mix").standard_normal((q.shape[1],) * 2))
+    return q @ mix
+
+
+def _warm_shapes():
+    from structmc.solvers import _WARM_SVT_MIN_DIM as gate
+
+    side = st.integers(gate, 120)
+    return st.tuples(side, side)
+
+
+class TestSvtWarmStep:
+    # the solvers' warm-subspace step, at the sizes where they use it
+
+    @WARM_PROPERTY
+    @given(seed=st.integers(0, 2**31 - 1), shape=_warm_shapes(), kept=st.integers(0, 12),
+           extra=st.integers(1, 8), gap=st.floats(0.05, 0.5))
+    @example(seed=1, shape=(120, 40), kept=12, extra=8, gap=0.05)
+    @example(seed=2, shape=(40, 120), kept=3, extra=1, gap=0.2)
+    def test_block_spanning_the_kept_vectors_is_exact(self, seed, shape, kept, extra, gap):
+        m, sigma1, right = _warm_instance(seed, shape, kept, gap)
+        others = stream(seed, "svt-warm-extra").standard_normal((right.shape[0], extra))
+        block = _rotated_block(seed, np.hstack([right[:, :kept], others]))
+        with mock.patch.object(prox, "_svt_gram", wraps=prox._svt_gram) as gram:
+            out, nxt = prox._svt_warm(m, 1.0, block)
+        # the extra columns bring Ritz values below tau, so the check accepts
+        assert gram.call_count == 0
+        assert frobenius_norm(out - svt(m, 1.0)) <= 1e-9 * sigma1
+        # the next block is orthonormal and spans the kept vectors
+        np.testing.assert_allclose(nxt.T @ nxt, np.eye(nxt.shape[1]), atol=1e-12)
+        captured = frobenius_norm(nxt.T @ right[:, :kept]) ** 2
+        assert captured == pytest.approx(kept, abs=1e-9)
+
+    @WARM_PROPERTY
+    @given(seed=st.integers(0, 2**31 - 1), shape=_warm_shapes(), kept=st.integers(2, 12),
+           missed=st.integers(1, 11), gap=st.floats(0.05, 0.5))
+    def test_block_missing_a_kept_vector_falls_back(self, seed, shape, kept, missed, gap):
+        # the block lies inside the span of the surviving singular vectors
+        # but misses some of them: every Ritz value is above tau
+        m, _, right = _warm_instance(seed, shape, kept, gap)
+        missed = min(missed, kept - 1)
+        chosen = stream(seed, "svt-warm-missed").permutation(kept)[: kept - missed]
+        block = _rotated_block(seed, right[:, np.sort(chosen)])
+        with mock.patch.object(prox, "_svt_gram", wraps=prox._svt_gram) as gram:
+            out, nxt = prox._svt_warm(m, 1.0, block)
+        assert gram.call_count == 1
+        np.testing.assert_array_equal(out, svt(m, 1.0))
+        assert nxt.shape[1] == min(kept + prox._WARM_EXTRA, right.shape[0])
+
+    @WARM_PROPERTY
+    @given(seed=st.integers(0, 2**31 - 1), shape=_warm_shapes(),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]), where=st.floats(0.0, 1.0))
+    def test_non_finite_input_raises(self, seed, shape, bad, where):
+        m, _, right = _warm_instance(seed, shape, 4, 0.2)
+        block = _rotated_block(seed, right[:, :6])
+        m.flat[int(where * (m.size - 1))] = bad
+        with pytest.raises(NumericalError):
+            prox._svt_warm(m, 1.0, block)
+        with pytest.raises(NumericalError):
+            svt(m, 1.0)

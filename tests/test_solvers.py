@@ -309,7 +309,11 @@ def _rank4_problems(shape):
 def _assert_gram_solves_match_svd_solves(monkeypatch, shape):
     # svt thresholds from the Gram eigendecomposition; the same solves with
     # the small-tau guard raised to infinity, which forces the full SVD, are
-    # the reference
+    # the reference.  Both sides call the exact svt at every step: the size
+    # gate of the warm step is raised above every shape tested here
+    import structmc.solvers as solvers_mod
+
+    monkeypatch.setattr(solvers_mod, "_WARM_SVT_MIN_DIM", 121)
     for formulation, p in _rank4_problems(shape):
         shipped = solve(p)
         with monkeypatch.context() as mp:
@@ -474,6 +478,91 @@ class TestAnderson:
         assert res.iterations == plain.iterations + res.rejected_steps
         assert np.array_equal(res.completed, plain.completed)
         assert len(res.primal_history) == res.iterations
+
+
+def _objective_slack(p, res, reference, tol=SolverConfig().primal_tol):
+    """How far a converged solve may sit above the optimum.
+
+    ADMM's suboptimality bound (Boyd et al. 2011, section 3.3.1) at the
+    returned iterate, ``|y|*|r| + |x - x*|*|s|`` with both residuals at most
+    eps = tol*sqrt(n1*n2), the dual ``y`` and the optimum ``x*`` bounded
+    through the subgradients of each term and through ``reference``, an
+    objective no smaller than the optimum; where the returned block is not
+    the one the bound speaks of, the objective's Lipschitz constant over a
+    distance eps is added.  The benchmark's output check uses the same bound.
+    """
+    n1, n2 = p.shape
+    mode, alpha, rho = p.formulation, p.alpha, p.rho
+    eps = tol * math.sqrt(n1 * n2)
+    g = math.sqrt(min(n1, n2))  # |X|_F <= g for |X|_op <= 1
+    n = math.sqrt(n1 * n2)  # |X|_F <= n for max |X_ij| <= 1
+    norm = frobenius_norm(res.completed)
+    fit = frobenius_norm(project(p.observed_values - res.completed, p.mask))
+    if mode in ("nnm-exact", "nnm-reg"):
+        return (2 * g + eps) * eps + (norm + eps + reference) * eps
+    fit_move = (fit + eps) * eps + 0.5 * eps**2
+    if mode == "nnm-noisy":
+        return rho * g * eps + (norm + eps + reference / rho) * eps + fit_move
+    if mode == "nnm-noisy-reg":
+        dual = eps + (fit + eps) + rho * g + alpha * n
+        spread = math.sqrt(3.0) * (norm + reference / rho) + eps
+        return dual * eps + spread * eps + fit_move + (rho * g + alpha * n) * eps
+    return min(alpha * n, g + eps) * eps + (norm + reference) * eps  # rpca-restricted
+
+
+class TestWarmSvt:
+    """At or above the size gate the svt block starts from a warm subspace."""
+
+    @pytest.mark.parametrize("size", ["gate", 200])
+    def test_warm_solves_end_on_an_exact_step(self, monkeypatch, size):
+        import structmc.solvers as solvers_mod
+
+        n = solvers_mod._WARM_SVT_MIN_DIM if size == "gate" else size
+        real_svt, real_warm = solvers_mod.svt, solvers_mod._svt_warm
+        calls = []
+
+        def svt_spy(v, tau):
+            calls.append("exact")
+            return real_svt(v, tau)
+
+        def warm_spy(v, tau, block):
+            calls.append("warm")
+            return real_warm(v, tau, block)
+
+        for formulation, p in _rank4_problems((n, n)):
+            with monkeypatch.context() as mp:
+                mp.setattr(solvers_mod, "svt", svt_spy)
+                mp.setattr(solvers_mod, "_svt_warm", warm_spy)
+                calls.clear()
+                warm = solve(p)
+            with monkeypatch.context() as mp:
+                mp.setattr(solvers_mod, "_WARM_SVT_MIN_DIM", math.inf)
+                exact = solve(p)
+            assert warm.status == exact.status == CONVERGED, formulation
+            assert exact.warm_svt_steps == 0, formulation
+            # one svt call per iteration, and the step that converged was exact
+            assert len(calls) == warm.iterations, formulation
+            assert calls.count("warm") == warm.warm_svt_steps > 0, formulation
+            assert calls[-1] == "exact", formulation
+            reference = max(warm.objective, exact.objective)
+            slack = _objective_slack(p, warm, reference)
+            assert abs(warm.objective - exact.objective) <= slack, formulation
+            if formulation in ("nnm-exact", "nnm-reg"):
+                mask = p.mask.lookup
+                assert np.array_equal(warm.completed[mask], p.observed_values[mask]), formulation
+
+    @pytest.mark.parametrize("shape", [(30, 30), (50, 30)])
+    def test_no_warm_step_below_the_gate(self, monkeypatch, shape):
+        import structmc.solvers as solvers_mod
+
+        def no_warm(*args):
+            raise AssertionError("the warm svt step ran below the size gate")
+
+        monkeypatch.setattr(solvers_mod, "_svt_warm", no_warm)
+        for formulation, p in _rank4_problems(shape):
+            res = solve(p)
+            assert res.status == CONVERGED, formulation
+            assert res.warm_svt_steps == 0, formulation
 
 
 class TestWarmStart:
