@@ -27,14 +27,7 @@ from .dataio import (
     write_manifest,
     write_results_csv,
 )
-from .errors import (
-    ConfigError,
-    CsvParseError,
-    DegenerateDrawError,
-    InvalidSamplingError,
-    NumericalError,
-    UsageError,
-)
+from .errors import DegenerateDrawError, NumericalError, UsageError
 from .harness import run_grid, run_real_matrix
 from .solvers import (
     CONVERGED,
@@ -56,15 +49,6 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        max_iters=args.max_iters,
-        primal_tol=args.primal_tol,
-        dual_tol=args.dual_tol,
-        admm_penalty=args.penalty,
-    )
-
-
 def _add_solver_flags(parser) -> None:
     parser.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
                         help="ADMM iteration cap (default %(default)s)")
@@ -73,6 +57,7 @@ def _add_solver_flags(parser) -> None:
     parser.add_argument("--dual-tol", type=float, default=SolverConfig.dual_tol,
                         help="dual residual tolerance (default %(default)s)")
     parser.add_argument("--penalty", type=float, default=SolverConfig.admm_penalty,
+                        dest="admm_penalty", metavar="PENALTY",
                         help="initial ADMM penalty (default %(default)s)")
 
 
@@ -96,7 +81,8 @@ def _check_mode_flags(args) -> None:
 
 def cmd_complete(args) -> int:
     try:
-        cfg = _solver_config(args)
+        cfg = SolverConfig(**{f.name: getattr(args, f.name)
+                              for f in dataclasses.fields(SolverConfig)})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.mask is None and not args.infer_mask:
@@ -135,16 +121,7 @@ def cmd_complete(args) -> int:
         "rows": matrix.shape[0],
         "cols": matrix.shape[1],
         "observed": mask.size,
-        "objective": result.objective,
-        "iterations": result.iterations,
-        "penalty_changes": result.penalty_changes,
-        "accelerated_steps": result.accelerated_steps,
-        "rejected_steps": result.rejected_steps,
-        "warm_svt_steps": result.warm_svt_steps,
-        "primal_residual": result.primal_residual,
-        "dual_residual": result.dual_residual,
-        "rank_estimate": result.rank_estimate,
-        "status": result.status,
+        **{f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.repr},
         "solver": dataclasses.asdict(cfg),
     }
     write_manifest(args.diagnostics or args.output + ".diag.json", diagnostics)
@@ -171,7 +148,7 @@ def cmd_generate(args) -> int:
             density_right=args.density_right,
             seed=args.seed,
         )
-        SamplingSpec(args.rate_zero, args.rate_nonzero)
+        sampling = SamplingSpec(args.rate_zero, args.rate_nonzero, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     matrix = generate_low_rank(spec)
@@ -179,9 +156,7 @@ def cmd_generate(args) -> int:
         raise DegenerateDrawError(
             "generator produced the all-zero matrix; raise the densities or change the seed"
         )
-    mask = sample_structured_mask(
-        matrix, SamplingSpec(args.rate_zero, args.rate_nonzero, seed=args.seed)
-    )
+    mask = sample_structured_mask(matrix, sampling)
     emit_matrix_csv(args.matrix_out, matrix)
     emit_mask_csv(args.mask_out, mask)
     manifest = {
@@ -330,9 +305,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CsvParseError, ConfigError, DegenerateDrawError, InvalidSamplingError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -340,7 +312,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc.filename}: {exc.strerror}" if exc.filename is not None
               else f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except (DegenerateDrawError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

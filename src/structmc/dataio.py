@@ -6,7 +6,8 @@ File conventions
   unobserved entry (only meaningful under the "mask" ingest policy).
 * Mask CSV: headerless ``i,j`` zero-based index pairs, row-major order.
 * Config: INI-style key/value document (sections: experiment, generator,
-  real, solver); schema errors report the offending ``section.key``.
+  real, solver); schema errors, unknown sections and keys among them,
+  report the offending ``section.key``.
 * Results CSV / heatmap CSVs: fixed column order, ``\\n`` line endings, and
   shortest round-trip float formatting, so a rerun of the same config is
   byte-identical.
@@ -249,23 +250,18 @@ def _require(cp, section: str, key: str) -> str:
     return cp.get(section, key)
 
 
-def _typed(section, key, text, conv, kind):
+def _typed(section, key, text, conv):
     try:
         return conv(text)
     except ValueError:
+        kind = "an integer" if conv is int else "a number"
         raise ConfigError(f"{section}.{key}: expected {kind}, got {text!r}") from None
 
 
-def _get_int(cp, section, key, default=None):
+def _get(cp, section, key, conv, default=None):
     if default is not None and not cp.has_option(section, key):
         return default
-    return _typed(section, key, _require(cp, section, key), int, "an integer")
-
-
-def _get_float(cp, section, key, default=None):
-    if default is not None and not cp.has_option(section, key):
-        return default
-    return _typed(section, key, _require(cp, section, key), float, "a number")
+    return _typed(section, key, _require(cp, section, key), conv)
 
 
 def _get_float_list(cp, section, key):
@@ -273,23 +269,22 @@ def _get_float_list(cp, section, key):
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
         raise ConfigError(f"{section}.{key}: expected a comma-separated list of numbers")
-    return tuple(
-        _typed(section, key, t, float, "a number") for t in tokens
-    )
+    return tuple(_typed(section, key, t, float) for t in tokens)
+
+
+# every section and key that load_config reads; any other is an error
+_KNOWN_KEYS = {
+    "experiment": {"kind", "alphas", "zero_rates", "nonzero_rates", "trials", "base_seed",
+                   "noise_sigma"},
+    "generator": {"rows", "cols", "rank", "density_left", "density_right"},
+    "real": {"matrix", "row_subsample"},
+    "solver": {f.name for f in dataclasses.fields(SolverConfig)},
+}
 
 
 def _solver_from(cp) -> SolverConfig:
-    if not cp.has_section("solver"):
-        return SolverConfig()
-    readers = {
-        f.name: _get_int if isinstance(f.default, int) else _get_float
-        for f in dataclasses.fields(SolverConfig)
-    }
-    values = {}
-    for key in cp.options("solver"):
-        if key not in readers:
-            raise ConfigError(f"solver.{key}: unknown key")
-        values[key] = readers[key](cp, "solver", key)
+    fields = dataclasses.fields(SolverConfig)
+    values = {f.name: _get(cp, "solver", f.name, type(f.default), f.default) for f in fields}
     try:
         return SolverConfig(**values)
     except ValueError as exc:
@@ -305,6 +300,12 @@ def load_config(path) -> BenchmarkConfig:
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    for section in cp.sections():
+        if section not in _KNOWN_KEYS:
+            raise ConfigError(f"{section}: unknown section")
+        for key in cp.options(section):
+            if key not in _KNOWN_KEYS[section]:
+                raise ConfigError(f"{section}.{key}: unknown key")
     if not cp.has_section("experiment"):
         raise ConfigError("experiment: missing required section")
     kind = _require(cp, "experiment", "kind")
@@ -314,9 +315,9 @@ def load_config(path) -> BenchmarkConfig:
         alphas=_get_float_list(cp, "experiment", "alphas"),
         zero_rates=_get_float_list(cp, "experiment", "zero_rates"),
         nonzero_rates=_get_float_list(cp, "experiment", "nonzero_rates"),
-        trials=_get_int(cp, "experiment", "trials"),
-        base_seed=_get_int(cp, "experiment", "base_seed"),
-        noise_sigma=_get_float(cp, "experiment", "noise_sigma", default=0.0),
+        trials=_get(cp, "experiment", "trials", int),
+        base_seed=_get(cp, "experiment", "base_seed", int),
+        noise_sigma=_get(cp, "experiment", "noise_sigma", float, 0.0),
         solver=_solver_from(cp),
     )
     try:
@@ -324,20 +325,19 @@ def load_config(path) -> BenchmarkConfig:
             if not cp.has_section("generator"):
                 raise ConfigError("generator: missing required section (synthetic runs)")
             generator = GeneratorSpec(
-                n1=_get_int(cp, "generator", "rows"),
-                n2=_get_int(cp, "generator", "cols"),
-                rank=_get_int(cp, "generator", "rank"),
-                density_left=_get_float(cp, "generator", "density_left"),
-                density_right=_get_float(cp, "generator", "density_right"),
+                n1=_get(cp, "generator", "rows", int),
+                n2=_get(cp, "generator", "cols", int),
+                rank=_get(cp, "generator", "rank", int),
+                density_left=_get(cp, "generator", "density_left", float),
+                density_right=_get(cp, "generator", "density_right", float),
             )
             return BenchmarkConfig(ExperimentGrid(generator=generator, **common))
         if not cp.has_section("real"):
             raise ConfigError("real: missing required section (real runs)")
         matrix_rel = _require(cp, "real", "matrix")
         matrix_path = os.path.join(os.path.dirname(os.path.abspath(path)), matrix_rel)
-        row_subsample = None
-        if cp.has_option("real", "row_subsample"):
-            row_subsample = _get_int(cp, "real", "row_subsample")
+        row_subsample = (_get(cp, "real", "row_subsample", int)
+                         if cp.has_option("real", "row_subsample") else None)
         return BenchmarkConfig(RealSweep(row_subsample=row_subsample, **common), matrix_path)
     except ValueError as exc:
         if isinstance(exc, ConfigError):

@@ -113,9 +113,6 @@ class ObservationMask:
             return NotImplemented
         return bool(np.array_equal(self._lookup, other._lookup))
 
-    def __hash__(self):
-        return hash((self.shape, self._lookup.tobytes()))
-
     def __repr__(self) -> str:
         return f"ObservationMask({self.shape[0]}x{self.shape[1]}, observed={self.size})"
 

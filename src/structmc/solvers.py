@@ -214,9 +214,11 @@ class SolveResult:
     of them thresholded from the warm singular subspace instead of calling
     the exact svt (0 below the size gate).  ``_state`` is the
     loop's final (A, Z, U, penalty), from which a later solve may start.
+    The scalar fields are the ones ``repr`` shows; the CLI writes exactly
+    those into its diagnostics.
     """
 
-    completed: np.ndarray
+    completed: np.ndarray = field(repr=False)
     objective: float
     iterations: int
     primal_residual: float

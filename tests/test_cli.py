@@ -63,6 +63,12 @@ class TestComplete:
         assert 0 <= diag["penalty_changes"] <= diag["iterations"]
         assert 0 <= diag["rejected_steps"] <= diag["accelerated_steps"] <= diag["iterations"]
         assert 0 <= diag["warm_svt_steps"] < diag["iterations"]
+        assert set(diag) == {
+            "mode", "alpha", "rho", "sigma", "rows", "cols", "observed", "solver",
+            "objective", "iterations", "primal_residual", "dual_residual", "status",
+            "rank_estimate", "penalty_changes", "accelerated_steps", "rejected_steps",
+            "warm_svt_steps",
+        }
 
     def test_one_missing_cell_completes_to_one(self, tmp_path):
         src = tmp_path / "m.csv"
@@ -383,6 +389,14 @@ class TestBenchmark:
         cfg.write_text("[experiment]\nkind = synthetic\n")
         code = run_cli("benchmark", "--config", str(cfg), "--outdir", str(tmp_path / "o"))
         assert code == 3
+
+    def test_config_typo_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(SYNTH_CONFIG.replace("trials = 1", "trials = 1\nnoise_sgima = 0.1"))
+        outdir = tmp_path / "o"
+        assert run_cli("benchmark", "--config", str(cfg), "--outdir", str(outdir)) == 3
+        assert capsys.readouterr().err == "data error: experiment.noise_sgima: unknown key\n"
+        assert not outdir.exists()
 
     @pytest.mark.parametrize(
         "kind,alphas,sigma",

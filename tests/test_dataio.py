@@ -331,6 +331,25 @@ class TestConfig:
             load_config(path)
         assert "solver.step_size" in str(info.value)
 
+    @pytest.mark.parametrize("config, section, key", [
+        (SYNTH_CONFIG, "experiment", "noise_sgima"),
+        (SYNTH_CONFIG, "generator", "seeed"),
+        (REAL_CONFIG, "real", "rows_subsample"),
+    ], ids=["experiment", "generator", "real"])
+    def test_unknown_key_in_any_section(self, tmp_path, config, section, key):
+        path = tmp_path / "cfg.ini"
+        path.write_text(config.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{section}.{key}: unknown key"
+
+    def test_unknown_section(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text(SYNTH_CONFIG.replace("[solver]", "[solvers]"))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == "solvers: unknown section"
+
     def test_bad_kind(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text(SYNTH_CONFIG.replace("kind = synthetic", "kind = quantum"))

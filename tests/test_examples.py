@@ -1,9 +1,12 @@
-"""The demos and the README's Python blocks use only names the package has.
+"""The demos and the README's Python blocks use only names the package has,
+and the documented benchmark configs load.
 
 Nothing runs them in the suite, so a renamed or deleted package name would
 leave them broken unseen.  Each source is parsed with ``ast``: every
 ``<alias>.<name>`` on an ``import structmc as <alias>`` and every name in a
-``from structmc... import`` must resolve.
+``from structmc... import`` must resolve.  The configs are the files in
+``demos/configs`` and the README's ``ini`` block, once as written and once
+with its commented-out sections switched on.
 """
 
 import ast
@@ -13,9 +16,12 @@ from pathlib import Path
 
 import pytest
 
+from structmc.dataio import load_config
+
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 SOURCES = [*sorted((ROOT / "demos").glob("*.py")), README]
+CONFIGS = sorted((ROOT / "demos" / "configs").glob("*.ini"))
 
 
 def _python(path):
@@ -49,3 +55,22 @@ def test_package_names_resolve(path):
     missing = sorted(f"{module}.{attr}" for module, attr in used
                      if not hasattr(importlib.import_module(module), attr))
     assert not missing, f"{path.name} uses names structmc does not have: {missing}"
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
+def test_demo_config_loads(path):
+    assert load_config(path).matrix_path is None
+
+
+@pytest.mark.parametrize("uncomment", [False, True], ids=["as-written", "uncommented"])
+def test_readme_config_loads(tmp_path, uncomment):
+    (block,) = re.findall(r"^```ini\n(.*?)^```", README.read_text(), re.M | re.S)
+    if uncomment:
+        block = re.sub(r"^; ", "", block, flags=re.M)
+        assert "[solver]" in block and "[real]" in block
+    path = tmp_path / "config.ini"
+    path.write_text(block)
+    config = load_config(path)
+    assert config.spec.generator.n1 == 30
+    if uncomment:
+        assert config.spec.solver.max_iters == 5000

@@ -289,7 +289,13 @@ class TestRpcaRestricted:
 
 
 def _rank4_problems(shape):
-    """One seeded half-observed rank-4 instance of the given shape, in all five modes."""
+    """One seeded rank-4 instance of the given shape, in all five modes.
+
+    The four nnm modes observe half the entries.  rpca-restricted observes
+    all but 5%, so that P_O(M) is the rank-4 truth minus a sparse part, at
+    weight 1/sqrt(min(n1, n2)); its solution is checked to be neither zero
+    nor of full rank, so the svt route has a nontrivial answer to change.
+    """
     rng = stream(30, "gram-vs-svd")
     n1, n2 = shape
     truth = rng.standard_normal((n1, 4)) @ rng.standard_normal((4, n2))
@@ -297,13 +303,18 @@ def _rank4_problems(shape):
     mask = ObservationMask.from_lookup(stream(30, "gram-vs-svd-mask").random(shape) < 0.5)
     rho = rho_for_noise(n1, n2, mask.size, 0.05)
     cases = [
-        ("nnm-exact", truth, {}),
-        ("nnm-reg", truth, {"alpha": 0.01}),
-        ("nnm-noisy", noisy, {"rho": rho}),
-        ("nnm-noisy-reg", noisy, {"rho": rho, "alpha": 0.01}),
-        ("rpca-restricted", truth, {"alpha": 0.1}),
+        ("nnm-exact", truth, mask, {}),
+        ("nnm-reg", truth, mask, {"alpha": 0.01}),
+        ("nnm-noisy", noisy, mask, {"rho": rho}),
+        ("nnm-noisy-reg", noisy, mask, {"rho": rho, "alpha": 0.01}),
+        ("rpca-restricted", truth,
+         ObservationMask.from_lookup(stream(30, "gram-vs-svd-rpca").random(shape) >= 0.05),
+         {"alpha": 1.0 / math.sqrt(min(shape))}),
     ]
-    return [(f, CompletionProblem(m, mask, f, **kwargs)) for f, m, kwargs in cases]
+    problems = [(f, CompletionProblem(m, o, f, **kwargs)) for f, m, o, kwargs in cases]
+    rpca = solve(problems[-1][1])
+    assert 0 < rpca.rank_estimate < min(shape), rpca.rank_estimate
+    return problems
 
 
 def _assert_gram_solves_match_svd_solves(monkeypatch, shape):
@@ -434,8 +445,8 @@ class TestAnderson:
     """Safeguarded Anderson acceleration of the ADMM loop."""
 
     @pytest.mark.parametrize("shape,counts", [
-        ((30, 30), [851, 540, 408, 468, 47]),
-        ((50, 30), [1647, 894, 218, 297, 64]),
+        ((30, 30), [851, 540, 408, 468, 55]),
+        ((50, 30), [1647, 894, 218, 297, 183]),
     ])
     def test_memory_zero_is_plain_admm(self, monkeypatch, shape, counts):
         # the iteration counts of the loop before acceleration, in FORMULATIONS order
