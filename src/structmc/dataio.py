@@ -5,9 +5,9 @@ File conventions
 * Matrix CSV: headerless rows of decimal values; an empty cell marks an
   unobserved entry (only meaningful under the "mask" ingest policy).
 * Mask CSV: headerless ``i,j`` zero-based index pairs, row-major order.
-* Config: INI-style key/value document (sections: experiment, generator,
-  real, solver); schema errors, unknown sections and keys among them,
-  report the offending ``section.key``.
+* Config: INI-style key/value document whose sections and keys are those
+  of ``_SCHEMA``, read literally; schema errors, unknown sections and keys
+  among them, report the offending ``section.key``.
 * Results CSV / heatmap CSVs: fixed column order, ``\\n`` line endings, and
   shortest round-trip float formatting, so a rerun of the same config is
   byte-identical.
@@ -24,7 +24,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -244,104 +244,98 @@ class BenchmarkConfig:
     matrix_path: str | None = None  # None for a synthetic grid
 
 
-def _require(cp, section: str, key: str) -> str:
-    if not cp.has_option(section, key):
-        raise ConfigError(f"{section}.{key}: missing required key")
-    return cp.get(section, key)
+def _float_list(text: str) -> tuple[float, ...]:
+    values = tuple(float(t) for t in text.split(",") if t.strip())
+    if not values:
+        raise ValueError(text)
+    return values
 
 
-def _typed(section, key, text, conv):
-    try:
-        return conv(text)
-    except ValueError:
-        kind = "an integer" if conv is int else "a number"
-        raise ConfigError(f"{section}.{key}: expected {kind}, got {text!r}") from None
+def _kind(text: str) -> str:
+    if text not in ("synthetic", "real"):
+        raise ValueError(text)
+    return text
 
 
-def _get(cp, section, key, conv, default=None):
-    if default is not None and not cp.has_option(section, key):
-        return default
-    return _typed(section, key, _require(cp, section, key), conv)
+# what a converter's text must be, for its error message
+_EXPECTED = {int: "an integer", float: "a number",
+             _float_list: "a comma-separated list of numbers", _kind: "'synthetic' or 'real'"}
 
-
-def _get_float_list(cp, section, key):
-    text = _require(cp, section, key)
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
-    if not tokens:
-        raise ConfigError(f"{section}.{key}: expected a comma-separated list of numbers")
-    return tuple(_typed(section, key, t, float) for t in tokens)
-
-
-# every section and key that load_config reads; any other is an error
-_KNOWN_KEYS = {
-    "experiment": {"kind", "alphas", "zero_rates", "nonzero_rates", "trials", "base_seed",
-                   "noise_sigma"},
-    "generator": {"rows", "cols", "rank", "density_left", "density_right"},
-    "real": {"matrix", "row_subsample"},
-    "solver": {f.name for f in dataclasses.fields(SolverConfig)},
+# section -> key -> (converter, default or MISSING if required); no other section or key is read
+_SCHEMA = {
+    "experiment": {
+        "kind": (_kind, MISSING),
+        "alphas": (_float_list, MISSING),
+        "zero_rates": (_float_list, MISSING),
+        "nonzero_rates": (_float_list, MISSING),
+        "trials": (int, MISSING),
+        "base_seed": (int, MISSING),
+        "noise_sigma": (float, 0.0),
+    },
+    # in GeneratorSpec's field order
+    "generator": {"rows": (int, MISSING), "cols": (int, MISSING), "rank": (int, MISSING),
+                  "density_left": (float, MISSING), "density_right": (float, MISSING)},
+    "real": {"matrix": (str, MISSING), "row_subsample": (int, None)},
+    "solver": {f.name: (type(f.default), f.default) for f in dataclasses.fields(SolverConfig)},
 }
 
 
-def _solver_from(cp) -> SolverConfig:
-    fields = dataclasses.fields(SolverConfig)
-    values = {f.name: _get(cp, "solver", f.name, type(f.default), f.default) for f in fields}
-    try:
-        return SolverConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
+def _section(cp, name: str) -> dict:
+    """Section ``name``'s values, converted, with defaults for omitted keys."""
+    values = {}
+    for key, (conv, default) in _SCHEMA[name].items():
+        text = cp.get(name, key, fallback=None)
+        if text is None and default is MISSING:
+            raise ConfigError(f"{name}.{key}: missing required key")
+        try:
+            values[key] = default if text is None else conv(text)
+        except ValueError:
+            raise ConfigError(f"{name}.{key}: expected {_EXPECTED[conv]}, got {text!r}") from None
+    return values
 
 
 def load_config(path) -> BenchmarkConfig:
-    """Parse a benchmark config document into a typed configuration."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Parse a benchmark config document into a typed configuration.
+
+    Values are read literally: no ``%`` interpolation, no ``[DEFAULT]`` section.
+    """
+    cp = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None, default_section=None
+    )
     try:
-        cp.read(path)
+        with open(path) as f:
+            cp.read_file(f)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SCHEMA:
             raise ConfigError(f"{section}: unknown section")
         for key in cp.options(section):
-            if key not in _KNOWN_KEYS[section]:
+            if key not in _SCHEMA[section]:
                 raise ConfigError(f"{section}.{key}: unknown key")
     if not cp.has_section("experiment"):
         raise ConfigError("experiment: missing required section")
-    kind = _require(cp, "experiment", "kind")
-    if kind not in ("synthetic", "real"):
-        raise ConfigError(f"experiment.kind: expected 'synthetic' or 'real', got {kind!r}")
-    common = dict(
-        alphas=_get_float_list(cp, "experiment", "alphas"),
-        zero_rates=_get_float_list(cp, "experiment", "zero_rates"),
-        nonzero_rates=_get_float_list(cp, "experiment", "nonzero_rates"),
-        trials=_get(cp, "experiment", "trials", int),
-        base_seed=_get(cp, "experiment", "base_seed", int),
-        noise_sigma=_get(cp, "experiment", "noise_sigma", float, 0.0),
-        solver=_solver_from(cp),
-    )
+    common = _section(cp, "experiment")
+    kind = common.pop("kind")
+    solver = _section(cp, "solver")
+    try:
+        common["solver"] = SolverConfig(**solver)
+    except ValueError as exc:
+        raise ConfigError(f"solver: {exc}") from exc
+    section = "generator" if kind == "synthetic" else "real"
+    if not cp.has_section(section):
+        raise ConfigError(f"{section}: missing required section ({kind} runs)")
+    values = _section(cp, section)
     try:
         if kind == "synthetic":
-            if not cp.has_section("generator"):
-                raise ConfigError("generator: missing required section (synthetic runs)")
-            generator = GeneratorSpec(
-                n1=_get(cp, "generator", "rows", int),
-                n2=_get(cp, "generator", "cols", int),
-                rank=_get(cp, "generator", "rank", int),
-                density_left=_get(cp, "generator", "density_left", float),
-                density_right=_get(cp, "generator", "density_right", float),
-            )
+            generator = GeneratorSpec(*values.values())
             return BenchmarkConfig(ExperimentGrid(generator=generator, **common))
-        if not cp.has_section("real"):
-            raise ConfigError("real: missing required section (real runs)")
-        matrix_rel = _require(cp, "real", "matrix")
-        matrix_path = os.path.join(os.path.dirname(os.path.abspath(path)), matrix_rel)
-        row_subsample = (_get(cp, "real", "row_subsample", int)
-                         if cp.has_option("real", "row_subsample") else None)
-        return BenchmarkConfig(RealSweep(row_subsample=row_subsample, **common), matrix_path)
+        matrix_path = os.path.join(os.path.dirname(os.path.abspath(path)), values["matrix"])
+        return BenchmarkConfig(RealSweep(row_subsample=values["row_subsample"], **common),
+                               matrix_path)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
 
 

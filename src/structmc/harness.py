@@ -37,7 +37,7 @@ import numpy as np
 from .errors import CellError, InvalidSamplingError
 from .matrix import as_matrix, frobenius_norm
 from .metrics import ratio_from_errors
-from .solvers import CompletionProblem, SolverConfig, solve
+from .solvers import CompletionProblem, SolverConfig, _tolerances, solve
 from .synth import (
     GeneratorSpec,
     SamplingSpec,
@@ -180,7 +180,7 @@ def _failure_record(cell, trial_index, message) -> TrialRecord:
 
 def _exact_tol(solver_cfg: SolverConfig, shape) -> float:
     # "both exact" means exact at the solver's own convergence scale
-    return max(1e-12, solver_cfg.primal_tol * math.sqrt(shape[0] * shape[1]))
+    return max(1e-12, _tolerances(solver_cfg, shape)[0])
 
 
 def _score_cell(truth, observed, mask, alphas, noise_sigma, solver_cfg):

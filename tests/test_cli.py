@@ -354,6 +354,28 @@ class TestBenchmark:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["kind"] == "real"
 
+    def test_percent_in_matrix_name(self, tmp_path):
+        # values are literal: configparser's % interpolation would reject "a%b"
+        (tmp_path / "a%b.csv").write_text("0,1,2\n3,0,1\n1,2,0\n")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[experiment]\nkind = real\ntrials = 1\nbase_seed = 5\nalphas = 0.1\n"
+            "zero_rates = 0.5\nnonzero_rates = 0.9\n\n[real]\nmatrix = a%b.csv\n"
+        )
+        outdir = tmp_path / "out"
+        assert run_cli("benchmark", "--config", str(cfg), "--outdir", str(outdir)) == 0
+        assert (outdir / "results.csv").exists()
+
+    def test_percent_in_value_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(SYNTH_CONFIG.replace("alphas = 0.1, 0.01", "alphas = 10%"))
+        outdir = tmp_path / "o"
+        assert run_cli("benchmark", "--config", str(cfg), "--outdir", str(outdir)) == 3
+        assert capsys.readouterr().err == (
+            "data error: experiment.alphas: expected a comma-separated list of numbers, "
+            "got '10%'\n")
+        assert not outdir.exists()
+
     def test_failed_cells_marked_not_fatal(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(SYNTH_CONFIG.replace("zero_rates = 0.3", "zero_rates = 0.0").replace(
@@ -479,6 +501,13 @@ class TestFileErrors:
                        "--rate-nonzero", "0.5", "--matrix-out", d + "/no/m.csv",
                        "--mask-out", d + "/k2.csv")
         self._assert_data_error(capsys, code, d + "/no/m.csv")
+
+    @pytest.mark.parametrize("name", ["nope.ini", "."], ids=["missing", "directory"])
+    def test_unreadable_config(self, tmp_path, capsys, name):
+        path = str(tmp_path / name)
+        code = run_cli("benchmark", "--config", path, "--outdir", str(tmp_path / "out"))
+        self._assert_data_error(capsys, code, path)
+        assert not (tmp_path / "out").exists()
 
     def test_benchmark_outdir_under_a_regular_file(self, tmp_path, capsys):
         d = self._inputs(tmp_path)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -13,11 +14,13 @@ from structmc import (
     GridResult,
     ObservationMask,
     RealSweep,
+    SolverConfig,
     TrialRecord,
     run_grid,
     stream,
 )
 from structmc.dataio import (
+    _SCHEMA,
     _parse_matrix_cells,
     _parse_plain_matrix,
     BenchmarkConfig,
@@ -241,6 +244,12 @@ matrix = truth.csv
 row_subsample = 4
 """
 
+# SYNTH_CONFIG with every [solver] key set
+ALL_KEYS_CONFIG = SYNTH_CONFIG + "primal_tol = 1e-6\ndual_tol = 1e-6\nadmm_penalty = 1.0\n"
+
+# the value each optional key takes when omitted; every other key is required
+DEFAULTS = {"noise_sigma": 0.0, "row_subsample": None, **dataclasses.asdict(SolverConfig())}
+
 
 class TestMaskCsvNumpyParse:
     @CSV_PROPERTY
@@ -349,6 +358,45 @@ class TestConfig:
         with pytest.raises(ConfigError) as info:
             load_config(path)
         assert str(info.value) == "solvers: unknown section"
+
+    def test_default_section_is_unknown(self, tmp_path):
+        # configparser would merge [DEFAULT] into every section
+        path = tmp_path / "cfg.ini"
+        path.write_text("[DEFAULT]\ntrials = 3\n" + SYNTH_CONFIG)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == "DEFAULT: unknown section"
+
+    @pytest.mark.parametrize("section, key", [(s, k) for s in _SCHEMA for k in _SCHEMA[s]],
+                             ids=lambda v: v)
+    def test_every_schema_key(self, tmp_path, section, key):
+        base = REAL_CONFIG if section == "real" else ALL_KEYS_CONFIG
+        line = re.compile(rf"^{key} = .*\n", re.M)
+        assert line.search(base)
+        path = tmp_path / "cfg.ini"
+        path.write_text(line.sub("", base))
+        if key in DEFAULTS:
+            spec = load_config(path).spec
+            assert getattr(spec.solver if section == "solver" else spec, key) == DEFAULTS[key]
+        else:
+            with pytest.raises(ConfigError) as info:
+                load_config(path)
+            assert str(info.value) == f"{section}.{key}: missing required key"
+        if key == "matrix":  # any text names a file
+            return
+        path.write_text(line.sub(f"{key} = 1x\n", base))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{section}.{key}: expected ")
+        assert str(info.value).endswith(", got '1x'")
+
+    def test_bad_list_value_quotes_the_value(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text(SYNTH_CONFIG.replace("alphas = 0.1, 0.01", "alphas = 0.1, x"))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == (
+            "experiment.alphas: expected a comma-separated list of numbers, got '0.1, x'")
 
     def test_bad_kind(self, tmp_path):
         path = tmp_path / "cfg.ini"

@@ -6,7 +6,8 @@ leave them broken unseen.  Each source is parsed with ``ast``: every
 ``<alias>.<name>`` on an ``import structmc as <alias>`` and every name in a
 ``from structmc... import`` must resolve.  The configs are the files in
 ``demos/configs`` and the README's ``ini`` block, once as written and once
-with its commented-out sections switched on.
+with its commented-out sections switched on; that block also names exactly
+the sections and keys the config reader knows.
 """
 
 import ast
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from structmc.dataio import load_config
+from structmc.dataio import _SCHEMA, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -62,9 +63,14 @@ def test_demo_config_loads(path):
     assert load_config(path).matrix_path is None
 
 
+def _readme_config():
+    (block,) = re.findall(r"^```ini\n(.*?)^```", README.read_text(), re.M | re.S)
+    return block
+
+
 @pytest.mark.parametrize("uncomment", [False, True], ids=["as-written", "uncommented"])
 def test_readme_config_loads(tmp_path, uncomment):
-    (block,) = re.findall(r"^```ini\n(.*?)^```", README.read_text(), re.M | re.S)
+    block = _readme_config()
     if uncomment:
         block = re.sub(r"^; ", "", block, flags=re.M)
         assert "[solver]" in block and "[real]" in block
@@ -74,3 +80,15 @@ def test_readme_config_loads(tmp_path, uncomment):
     assert config.spec.generator.n1 == 30
     if uncomment:
         assert config.spec.solver.max_iters == 5000
+
+
+def test_readme_config_names_the_schema_keys():
+    # commented-out sections and keys count: the block documents every key
+    names, section = {}, None
+    for line in _readme_config().splitlines():
+        line = line.removeprefix("; ")
+        if match := re.match(r"\[(\w+)\]", line):
+            section = names.setdefault(match[1], set())
+        elif match := re.match(r"(\w+) =", line):
+            section.add(match[1])
+    assert names == {s: set(keys) for s, keys in _SCHEMA.items()}
