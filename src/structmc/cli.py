@@ -183,12 +183,14 @@ def cmd_benchmark(args) -> int:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     config = load_config(args.config)
     spec = config.spec
+    # every input is read before the output directory is made
+    if config.matrix_path is not None:
+        matrix, _ = ingest_matrix_csv(config.matrix_path, policy="strict")
     os.makedirs(args.outdir, exist_ok=True)
     started = time.monotonic()
     if config.matrix_path is None:
         result = run_grid(spec, workers=args.workers, strict=False)
     else:
-        matrix, _ = ingest_matrix_csv(config.matrix_path, policy="strict")
         result = run_real_matrix(matrix, spec, workers=args.workers, strict=False)
     wall = time.monotonic() - started
     write_results_csv(os.path.join(args.outdir, "results.csv"), result)

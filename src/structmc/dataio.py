@@ -303,10 +303,12 @@ def load_config(path) -> BenchmarkConfig:
         inline_comment_prefixes=("#", ";"), interpolation=None, default_section=None
     )
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             cp.read_file(f)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     for section in cp.sections():

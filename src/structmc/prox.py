@@ -22,6 +22,7 @@ svt itself whenever it has no block or its block may be too small.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh
 
 from .errors import NumericalError
 from .matrix import ObservationMask, _check_shape
@@ -118,20 +119,20 @@ def _subspace_step(t: np.ndarray, tau: float, block: np.ndarray):
 
 def _svt_gram(m: np.ndarray, tau: float):
     """svt of a tall ``m`` from ``eigh(m^T m)``, and the next warm block; None when tau is too small."""
-    try:
-        w, v = np.linalg.eigh(m.T @ m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigh failed inside singular value thresholding: {exc}") from exc
-    # eigh returns NaN where the SVD would raise, so check here
+    # the gufunc under np.linalg.eigh, without its wrapper (about 5 us of a
+    # 30x30 call); a failed or non-finite decomposition shows as NaN
+    with np.errstate(all="ignore"):
+        w, v = _eigh(m.T @ m)
     if not np.isfinite(w).all():
         raise NumericalError("non-finite eigenvalue inside singular value thresholding")
-    if tau < _GRAM_MIN_REL_TAU * np.sqrt(w.max(initial=0.0)):
+    # eigh sorts ascending: the largest is last, and the k kept columns and
+    # the next few are the last ones
+    if w.size and tau * tau < _GRAM_MIN_REL_TAU**2 * w[-1]:
         return None
-    keep = w > tau * tau
-    kept = v[:, keep]
-    # eigh sorts ascending, so the kept columns and the next few are the last ones
-    block = v[:, max(w.size - kept.shape[1] - _WARM_EXTRA, 0):]
-    return ((m @ kept) * (1.0 - tau / np.sqrt(w[keep]))) @ kept.T, block
+    cut = int(w.searchsorted(tau * tau, side="right"))
+    kept = v[:, cut:]
+    block = v[:, max(cut - _WARM_EXTRA, 0):]
+    return ((m @ kept) * (1.0 - tau / np.sqrt(w[cut:]))) @ kept.T, block
 
 
 def soft_threshold(m: np.ndarray, tau: float, support: ObservationMask) -> np.ndarray:
@@ -143,8 +144,8 @@ def soft_threshold(m: np.ndarray, tau: float, support: ObservationMask) -> np.nd
     tau = _check_tau(tau)
     m = np.asarray(m, dtype=np.float64)
     _check_shape(m, support)
-    shrunk = np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
-    return np.where(support.lookup, shrunk, m)
+    shrunk = np.maximum(np.abs(m) - tau, 0.0)
+    return np.where(support.lookup, np.copysign(shrunk, m, out=shrunk), m)
 
 
 def prox_obs_fit_quad(

@@ -31,8 +31,9 @@ acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue &
 Boyd, SIAM J. Optim. 2020): a step may start at the extrapolated point
 F(x) - dF*gamma instead of F(x), with gamma the Tikhonov-regularized
 least-squares fit of the step residual g = F(x) - x by the differences dG of
-up to ``_ANDERSON_MEMORY`` past steps.  The extrapolated point is only ever
-a start: every iteration is one plain ADMM step, and the stopping test, the
+up to 8 past steps (``_ANDERSON_MEMORY``), or 3 in solves that take the warm
+svt step (``_ANDERSON_WARM_MEMORY``).  The extrapolated point is only ever a
+start: every iteration is one plain ADMM step, and the stopping test, the
 residual histories, residual balancing and the returned blocks see only
 step outputs, whose residuals certify them whatever the start, so the
 stopping rule and the exact observation match hold as without acceleration.
@@ -79,6 +80,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# the gufunc under np.linalg.solve: the wrapper's checks cost more than
+# solving the Anderson systems of size 8 or less
+from numpy.linalg._umath_linalg import solve1 as _solve
 
 from .errors import NumericalError, OracleBudgetError
 from .matrix import (
@@ -128,8 +132,10 @@ _RANK_REL_CUTOFF = 1e-6
 # residual balancing scales the penalty by _BALANCE_FACTOR when one residual exceeds
 # _BALANCE_RATIO times the other, at most _MAX_PENALTY_CHANGES times per solve
 _BALANCE_RATIO, _BALANCE_FACTOR, _MAX_PENALTY_CHANGES = 10.0, 2.0, 20
-# Anderson acceleration extrapolates from this many past steps (0 turns it off)
-_ANDERSON_MEMORY = 3
+# Anderson acceleration extrapolates from this many past steps (0 turns it off),
+# at most _ANDERSON_WARM_MEMORY at or above the warm svt gate: below it 8 steps cut
+# sweep iterations by a sixth against 3, above it they cost memory and save nothing
+_ANDERSON_MEMORY, _ANDERSON_WARM_MEMORY = 8, 3
 # Tikhonov weight of the Anderson least squares, relative to its Gram trace
 _ANDERSON_REG = 1e-5
 # solves with min(n1, n2) at or above this take the warm svt step; whole n x n
@@ -180,8 +186,8 @@ class SolverConfig:
     residuals, scaled by sqrt(n1*n2).  The penalty starts at
     ``admm_penalty`` and is adapted by residual balancing (x2 / /2 when one
     residual exceeds 10x the other) at most ``_MAX_PENALTY_CHANGES`` (20)
-    times per solve; after that it stays fixed.  Anderson acceleration
-    (memory ``_ANDERSON_MEMORY`` = 3) is always on and has no field here; it
+    times per solve; after that it stays fixed.  Anderson acceleration (8
+    steps, 3 from the warm svt gate) is always on and has no field here; it
     changes where a solve starts its steps, not what the tolerances certify.
     """
 
@@ -342,25 +348,27 @@ def _prox_pair(problem: CompletionProblem, y: np.ndarray, threshold):
 class _Anderson:
     """Type-II Anderson extrapolation of the ADMM map F on x = (Z, U).
 
-    Up to ``memory`` differences of the step outputs f = F(x) and step
-    residuals g = f - x sit in preallocated buffers, and the Gram matrix of
-    the residual differences gains one row and column per step.  The memory
-    restarts once full (Zhang, O'Donoghue & Boyd 2020): a rolling window
-    carries rounding differences much further, so that the Gram and SVD
-    routes of svt ended a 120x120 rpca-restricted solve 3e-9 apart, against
-    6e-11 restarted.
+    x, the step outputs f = F(x) and the step residuals g = f - x are each
+    one (2, n1, n2) array.  Up to ``memory`` differences of f and of g sit in
+    preallocated buffers, and the Gram matrix of the residual differences
+    gains one row and column per step.  The memory restarts once full (Zhang,
+    O'Donoghue & Boyd 2020): a rolling window carries rounding differences
+    much further, so that the Gram and SVD routes of svt ended a 120x120
+    rpca-restricted solve 3e-9 apart, against 6e-11 restarted.
     """
 
     def __init__(self, memory: int, shape):
         self.memory = memory
-        self.df = np.empty((memory, 2, *shape))
-        self.dg = np.empty((memory, 2, *shape))
+        self.df = np.empty((memory, 2 * shape[0] * shape[1]))
+        self.dg = np.empty_like(self.df)
         self.gram = np.empty((memory, memory))
+        self.eye = np.eye(memory)
         self.reset()
 
     def clear(self):
         """Drop the differences; the last step stays the reference for the next."""
         self.count = 0
+        self.trace = 0.0
 
     def reset(self):
         """Forget everything, the last step too (the map changed)."""
@@ -368,36 +376,28 @@ class _Anderson:
         self.last = None
 
     def push(self, f, g):
-        """Record one step's output ``f`` and residual ``g``, each a (Z, U) pair."""
+        """Record one step's output ``f`` and residual ``g``, each a (2, n1, n2) array."""
         if self.last is not None and self.memory:
             if self.count == self.memory:
                 self.clear()
             j = self.count
-            for buf, new, old in ((self.df, f, self.last[0]), (self.dg, g, self.last[1])):
-                np.subtract(new[0], old[0], out=buf[j, 0])
-                np.subtract(new[1], old[1], out=buf[j, 1])
+            np.subtract(f, self.last[0], out=self.df[j].reshape(f.shape))
+            np.subtract(g, self.last[1], out=self.dg[j].reshape(g.shape))
             self.count += 1
-            flat = self.dg.reshape(self.memory, -1)
-            self.gram[j, : j + 1] = self.gram[: j + 1, j] = flat[: j + 1] @ flat[j]
+            self.gram[j, : j + 1] = self.gram[: j + 1, j] = self.dg[: j + 1] @ self.dg[j]
+            self.trace += self.gram[j, j]
         self.last = (f, g)
 
     def extrapolate(self):
         """The start f - dF*gamma after the last pushed step; None without a usable history."""
         k = self.count
-        if k == 0:
-            return None
-        f, g = self.last
-        system = self.gram[:k, :k].copy()
-        reg = _ANDERSON_REG * system.trace()
+        reg = _ANDERSON_REG * self.trace
         if not 0.0 < reg < math.inf:  # no differences, or a non-finite step
             return None
+        f, g = self.last
         # positive definite: the Gram matrix is semidefinite and reg > 0
-        system.flat[:: k + 1] += reg
-        dg = self.dg[:k].reshape(k, 2, -1)
-        rhs = dg[:, 0] @ g[0].ravel() + dg[:, 1] @ g[1].ravel()
-        gamma = np.linalg.solve(system, rhs)
-        step = (gamma @ self.df[:k].reshape(k, -1)).reshape(self.df.shape[1:])
-        return f[0] - step[0], f[1] - step[1]
+        gamma = _solve(self.gram[:k, :k] + reg * self.eye[:k, :k], self.dg[:k] @ g.reshape(-1))
+        return f - (gamma @ self.df[:k]).reshape(f.shape)
 
 
 def solve(
@@ -434,9 +434,11 @@ def solve(
         u = np.zeros_like(z)
         pen = cfg.admm_penalty
     ptol, dtol = _tolerances(cfg, problem.shape)
-    anderson = _Anderson(_ANDERSON_MEMORY, problem.shape)
-    # the point the next step starts from: (z, u) or an extrapolation of it
-    z_in, u_in = z, u
+    memory = min(_ANDERSON_MEMORY, _ANDERSON_WARM_MEMORY) if warm else _ANDERSON_MEMORY
+    anderson = _Anderson(memory, problem.shape)
+    # the step's output (Z+, U+) and the point the next step starts from:
+    # the output or an extrapolation of it
+    f = x = np.stack((z, u))
     extrapolated = False
     rhist, dhist = [], []
     status = MAX_ITERS
@@ -444,13 +446,18 @@ def solve(
     rnorm = snorm = gnorm_prev = float("inf")
     try:
         for it in range(1, cfg.max_iters + 1):
-            a_new = x_step(z_in - u_in, pen)
-            z_new = z_step(a_new + u_in, pen)
-            r = a_new - z_new
-            dz = z_new - z_in
-            a, z, u = a_new, z_new, u_in + r
-            snorm = pen * frobenius_norm(dz)
-            rnorm = frobenius_norm(r)
+            z_in, u_in = x
+            a = x_step(z_in - u_in, pen)
+            z_new = z_step(a + u_in, pen)
+            # g = f - x: (Z+ - Z, A - Z+), the second half also the primal residual
+            f, g = np.empty((2, *z_new.shape)), np.empty((2, *z_new.shape))
+            f[0] = z_new
+            np.subtract(z_new, z_in, out=g[0])
+            np.subtract(a, z_new, out=g[1])
+            np.add(u_in, g[1], out=f[1])
+            dz, r = g.reshape(2, -1)
+            dznorm, rnorm = math.sqrt(dz @ dz), math.sqrt(r @ r)
+            snorm = pen * dznorm
             rhist.append(rnorm)
             dhist.append(snorm)
             accelerated += extrapolated
@@ -464,28 +471,30 @@ def solve(
                 exact = True
                 continue
             exact = not warm
-            # ||(Z+ - Z, U+ - U)||, the fixed-point residual of this step
-            gnorm = math.hypot(snorm / pen, rnorm)
+            # ||g||, the fixed-point residual of this step
+            gnorm = math.hypot(dznorm, rnorm)
             if extrapolated and gnorm > gnorm_prev:
                 # safeguard: go back to the plain point the extrapolation replaced
                 rejected += 1
                 anderson.clear()
-                z_in, u_in = anderson.last[0]
+                x = anderson.last[0]
                 extrapolated = False
                 continue
-            anderson.push((z, u), (dz, r))
+            anderson.push(f, g)
             gnorm_prev = gnorm
             if changes < _MAX_PENALTY_CHANGES:
-                new_pen, u = _balance_penalty(pen, u, rnorm, snorm)
+                new_pen, u = _balance_penalty(pen, f[1], rnorm, snorm)
                 if new_pen != pen:
                     changes += 1
                     pen = new_pen
+                    f[1] = u
                     anderson.reset()
             point = anderson.extrapolate()
             extrapolated = point is not None
-            z_in, u_in = point if extrapolated else (z, u)
+            x = point if extrapolated else f
     except NumericalError:
         status = NUMERICAL_FAILURE
+    z, u = f
     fit = _FORMS[problem.formulation][0]
     low_rank, entrywise = (z, a) if fit == "quad" else (a, z)
     completed = entrywise if fit == "exact" else low_rank

@@ -509,6 +509,24 @@ class TestFileErrors:
         self._assert_data_error(capsys, code, path)
         assert not (tmp_path / "out").exists()
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes(b"\xff" + SYNTH_CONFIG.encode())
+        code = run_cli("benchmark", "--config", str(cfg), "--outdir", str(tmp_path / "out"))
+        self._assert_data_error(capsys, code, str(cfg))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("matrix", ["", "nope.csv"], ids=["directory", "missing"])
+    def test_unreadable_real_matrix_makes_no_outdir(self, tmp_path, capsys, matrix):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[experiment]\nkind = real\ntrials = 1\nbase_seed = 5\nalphas = 0.1\n"
+            f"zero_rates = 0.5\nnonzero_rates = 0.9\n\n[real]\nmatrix = {matrix}\n"
+        )
+        code = run_cli("benchmark", "--config", str(cfg), "--outdir", str(tmp_path / "out"))
+        self._assert_data_error(capsys, code, os.path.join(str(tmp_path), matrix))
+        assert not (tmp_path / "out").exists()
+
     def test_benchmark_outdir_under_a_regular_file(self, tmp_path, capsys):
         d = self._inputs(tmp_path)
         cfg = tmp_path / "cfg.ini"

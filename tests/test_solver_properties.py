@@ -1,9 +1,13 @@
 """Property tests for the two-block ADMM engine on small random instances."""
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import structmc.solvers as solvers
 from structmc import (
     CONVERGED,
     FORMULATIONS,
@@ -159,3 +163,27 @@ def test_oracle_is_no_worse_than_admm_or_its_start(problem):
     assert oracle <= solve(problem, TIGHT).objective + 1e-7
     y = project(problem.observed_values, problem.mask)
     assert oracle <= objective_value(problem, y, np.zeros_like(y)) + 1e-8
+
+
+@pytest.mark.parametrize("memory", [0, 3, 8])
+@PROPERTY
+@given(instances, st.sampled_from(list(FORMULATIONS)))
+def test_every_history_length_ends_on_a_certified_step(memory, params, formulation):
+    # whatever the Anderson memory, a converged result is a plain step within
+    # both tolerances, the exact modes return the observations bit for bit,
+    # and only an extrapolated step can be rejected
+    seed, rows, cols, density, ratio, rho = params
+    m, mask = _instance(seed, rows, cols, density)
+    problem = CompletionProblem(m, mask, formulation, alpha=ratio * rho, rho=rho)
+    cfg = SolverConfig()
+    with mock.patch.object(solvers, "_ANDERSON_MEMORY", memory):
+        res = solve(problem, cfg)
+    if res.status == CONVERGED:
+        scale = np.sqrt(rows * cols)
+        assert res.primal_residual <= cfg.primal_tol * scale
+        assert res.dual_residual <= cfg.dual_tol * scale
+    if formulation in ("nnm-exact", "nnm-reg"):
+        assert np.array_equal(res.completed[mask.lookup], m[mask.lookup])
+    assert res.accelerated_steps >= res.rejected_steps
+    if memory == 0:
+        assert res.accelerated_steps == 0

@@ -406,7 +406,7 @@ class TestSolverContracts:
 
         m, mask = _random_problem(26)
         p = CompletionProblem(m, mask, "rpca-restricted", **dict(ALL_MODES)["rpca-restricted"])
-        assert solve(p).penalty_changes == 19
+        assert solve(p).penalty_changes == 18
         calls = []
         balance = solvers_mod._balance_penalty
 
@@ -457,6 +457,25 @@ class TestAnderson:
         assert [r.iterations for r in results] == counts
         assert all(r.status == CONVERGED for r in results)
         assert all(r.accelerated_steps == r.rejected_steps == 0 for r in results)
+
+    @pytest.mark.parametrize("size,longest", [(30, 8), ("gate", 3)])
+    def test_history_is_shorter_at_the_gate(self, monkeypatch, size, longest):
+        # below the warm svt gate the history holds 8 steps, at or above it 3
+        import structmc.solvers as solvers_mod
+
+        lengths = []
+
+        class Spy(solvers_mod._Anderson):
+            def push(self, f, g):
+                super().push(f, g)
+                lengths.append(self.count)
+
+        monkeypatch.setattr(solvers_mod, "_Anderson", Spy)
+        n = solvers_mod._WARM_SVT_MIN_DIM if size == "gate" else size
+        m, mask = _random_problem(27, shape=(n, n))
+        res = solve(CompletionProblem(m, mask, "nnm-exact"))
+        assert res.status == CONVERGED
+        assert max(lengths) == longest
 
     def test_acceleration_cuts_iterations(self):
         results = {f: solve(p) for f, p in _rank4_problems((30, 30))}

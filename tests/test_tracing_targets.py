@@ -9,6 +9,7 @@ the tracer and drives tiny sweeps and completions through ``structmc.cli``.
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -92,3 +93,11 @@ def test_traced_cli_runs_record_every_span(tmp_path):
     recorded = {span[tracing.NAME] for span in tracer.spans}
     missing = {span for _, _, span in _targets()} - recorded
     assert not missing, f"spans never recorded: {sorted(missing)}"
+    # every solve here is below the warm svt gate, so each of its iterations
+    # calls svt through the traced name once
+    svt_calls = Counter(span[tracing.PARENT] for span in tracer.spans
+                        if span[tracing.NAME] == "prox.svt")
+    solves = [span for span in tracer.spans if span[tracing.NAME] == "solvers.solve"]
+    assert solves
+    for span in solves:
+        assert svt_calls[span[tracing.ID]] == span[tracing.ATTRS]["iterations"], span
