@@ -29,7 +29,7 @@ def sweep(rank):
         generator=smc.GeneratorSpec(20, 20, rank, 0.3, 0.5),
         base_seed=512 + rank,
     )
-    return smc.run_grid(grid, strict=False)
+    return smc.run_grid(grid)
 
 
 def show(table, title):

@@ -31,7 +31,7 @@ sweep = smc.RealSweep(
     base_seed=8081,
     row_subsample=50,  # each trial samples 50 rows, as a large registry would require
 )
-result = smc.run_real_matrix(truth, sweep, strict=False)
+result = smc.run_real_matrix(truth, sweep)
 
 print("\nmean error ratio (rows: rate_zero, cols: rate_nonzero):")
 print("            " + "  ".join(f"{r:>6.1f}" for r in sweep.nonzero_rates))

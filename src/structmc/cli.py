@@ -189,9 +189,9 @@ def cmd_benchmark(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     started = time.monotonic()
     if config.matrix_path is None:
-        result = run_grid(spec, workers=args.workers, strict=False)
+        result = run_grid(spec, workers=args.workers)
     else:
-        result = run_real_matrix(matrix, spec, workers=args.workers, strict=False)
+        result = run_real_matrix(matrix, spec, workers=args.workers)
     wall = time.monotonic() - started
     write_results_csv(os.path.join(args.outdir, "results.csv"), result)
     write_heatmap_csv(
@@ -204,6 +204,7 @@ def cmd_benchmark(args) -> int:
     )
     import scipy  # only the manifest's version string needs it; keeps it out of start-up
 
+    n_failed = int(result.failures.sum())
     n_nonconverged = sum(
         1 for r in result.records
         if r.error is None and (r.status_baseline, r.status_reg) != (CONVERGED, CONVERGED)
@@ -219,7 +220,7 @@ def cmd_benchmark(args) -> int:
         "nonzero_rates": list(spec.nonzero_rates),
         "row_subsample": spec.row_subsample,
         "records": len(result.records),
-        "failed_trials": int(result.failures.sum()),
+        "failed_trials": n_failed,
         "nonconverged_trials": n_nonconverged,
         "both_exact_trials": int(result.both_exact.sum()),
         "wall_time_s": wall,
@@ -229,7 +230,6 @@ def cmd_benchmark(args) -> int:
         "python_version": sys.version.split()[0],
     }
     write_manifest(os.path.join(args.outdir, "manifest.json"), manifest)
-    n_failed = int(result.failures.sum())
     if n_failed:
         print(f"warning: {n_failed} trial(s) failed; see results.csv", file=sys.stderr)
     if n_nonconverged:

@@ -163,21 +163,6 @@ class TrialRecord:
         return OUTCOME_OK
 
 
-def _failure_record(cell, trial_index, message) -> TrialRecord:
-    nan = float("nan")
-    return TrialRecord(
-        cell=cell,
-        trial_index=trial_index,
-        alpha_used=nan,
-        ratio=nan,
-        err_reg=nan,
-        err_nnm=nan,
-        status_baseline="",
-        status_reg="",
-        error=message,
-    )
-
-
 def _exact_tol(solver_cfg: SolverConfig, shape) -> float:
     # "both exact" means exact at the solver's own convergence scale
     return max(1e-12, _tolerances(solver_cfg, shape)[0])
@@ -296,46 +281,6 @@ class GridResult:
     failures: np.ndarray
 
 
-def _aggregate(grid, records) -> GridResult:
-    nz = len(grid.zero_rates)
-    nnz = len(grid.nonzero_rates)
-    mean_ratio = np.full((nz, nnz), np.nan)
-    mean_alpha = np.full((nz, nnz), np.nan)
-    both_exact = np.zeros((nz, nnz), dtype=int)
-    failures = np.zeros((nz, nnz), dtype=int)
-    by_cell = {}
-    for rec in records:
-        by_cell.setdefault(rec.cell, []).append(rec)
-    for i, rz in enumerate(grid.zero_rates):
-        for j, rnz in enumerate(grid.nonzero_rates):
-            cell_records = by_cell.get((rz, rnz), [])
-            good = [r for r in cell_records if r.error is None]
-            failures[i, j] = len(cell_records) - len(good)
-            ratios = [r.ratio for r in good if not math.isnan(r.ratio)]
-            both_exact[i, j] = sum(1 for r in good if math.isnan(r.ratio))
-            if ratios:
-                mean_ratio[i, j] = float(np.mean(ratios))
-            if good:
-                mean_alpha[i, j] = float(np.mean([r.alpha_used for r in good]))
-    return GridResult(
-        grid=grid,
-        records=tuple(records),
-        mean_ratio=mean_ratio,
-        mean_alpha=mean_alpha,
-        both_exact=both_exact,
-        failures=failures,
-    )
-
-
-def _grid_tasks(grid):
-    return [
-        ((rz, rnz), trial)
-        for rz in grid.zero_rates
-        for rnz in grid.nonzero_rates
-        for trial in range(grid.trials)
-    ]
-
-
 # BLAS thread-count variables that sweep workers get as 1 when none is set
 _WORKER_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -363,17 +308,25 @@ def _one_blas_thread_per_process():
             os.environ.pop(name, None)
 
 
-def _run_tasks(tasks, worker, payloads, workers, strict):
-    """Run ``worker(*payload)`` per (cell, trial) task and keep task order.
+def _run_sweep(spec, worker, payload, workers) -> GridResult:
+    """Run ``worker(*payload(cell, trial))`` for every (cell, trial) and aggregate.
 
-    ``workers`` > 1 runs the tasks in that many spawned processes, with one
-    BLAS thread each unless the caller set a thread-count variable.
-    With ``strict=False`` any exception a task raises, including a broken
+    Tasks run and are reduced in cell-major order, so the records of a cell
+    are ``spec.trials`` consecutive ones.  ``workers`` > 1 runs them in that
+    many spawned processes, with one BLAS thread each unless the caller set a
+    thread-count variable.  Any exception a task raises, including a broken
     worker pool, becomes that task's failure record, and every finished
     record is kept.  Raises ValueError for ``workers`` < 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    tasks = [
+        ((rz, rnz), trial)
+        for rz in spec.zero_rates
+        for rnz in spec.nonzero_rates
+        for trial in range(spec.trials)
+    ]
+    payloads = [payload(cell, trial) for cell, trial in tasks]
     records = []
     pool = None
     try:
@@ -394,27 +347,37 @@ def _run_tasks(tasks, worker, payloads, workers, strict):
             try:
                 records.append(outcome())
             except Exception as exc:
-                if strict:
-                    raise
                 log.debug("cell %s trial %d failed", cell, trial, exc_info=True)
-                records.append(_failure_record(cell, trial, str(exc)))
+                nan = float("nan")
+                records.append(TrialRecord(cell, trial, alpha_used=nan, ratio=nan, err_reg=nan,
+                                           err_nnm=nan, status_baseline="", status_reg="",
+                                           error=str(exc)))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return records
+    shape = (len(spec.zero_rates), len(spec.nonzero_rates))
+    mean_ratio, mean_alpha = np.full(shape, np.nan), np.full(shape, np.nan)
+    both_exact, failures = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int)
+    for k, ij in enumerate(np.ndindex(shape)):
+        good = [r for r in records[k * spec.trials:(k + 1) * spec.trials] if r.error is None]
+        ratios = [r.ratio for r in good if not math.isnan(r.ratio)]
+        failures[ij] = spec.trials - len(good)
+        both_exact[ij] = len(good) - len(ratios)
+        if ratios:
+            mean_ratio[ij] = float(np.mean(ratios))
+        if good:
+            mean_alpha[ij] = float(np.mean([r.alpha_used for r in good]))
+    return GridResult(spec, tuple(records), mean_ratio, mean_alpha, both_exact, failures)
 
 
-def run_grid(grid: ExperimentGrid, workers: int = 1, strict: bool = True) -> GridResult:
+def run_grid(grid: ExperimentGrid, workers: int = 1) -> GridResult:
     """Run every (cell, trial) and aggregate.
 
     Output is a pure function of ``grid`` alone: trials may execute in
     parallel (``workers`` processes) but records are reduced in a fixed
-    cell-major order.  With ``strict=False`` a trial that raises becomes a
-    failure record instead of aborting the sweep.
+    cell-major order.  A trial that raises becomes a ``failed`` record.
     """
-    tasks = _grid_tasks(grid)
-    payloads = [(grid, cell, trial) for cell, trial in tasks]
-    return _aggregate(grid, _run_tasks(tasks, run_cell, payloads, workers, strict))
+    return _run_sweep(grid, run_cell, lambda cell, trial: (grid, cell, trial), workers)
 
 
 def _real_trial(truth, sweep, cell, trial_index):
@@ -432,22 +395,18 @@ def subsample_rows(m: np.ndarray, count: int, seed: int, trial_index: int) -> np
     return as_matrix(m[rows, :])
 
 
-def run_real_matrix(
-    m: np.ndarray, sweep: RealSweep, workers: int = 1, strict: bool = True
-) -> GridResult:
+def run_real_matrix(m: np.ndarray, sweep: RealSweep, workers: int = 1) -> GridResult:
     """Run the grid protocol against a fully known ingested matrix."""
     truth_full = as_matrix(m)
     if not truth_full.any():
         raise ValueError("ground-truth matrix has no nonzero entries")
-    # per-trial ground truths are fixed across cells, keyed by trial only
-    truths = {}
-    for trial in range(sweep.trials):
-        if sweep.row_subsample is not None:
-            truths[trial] = subsample_rows(
-                truth_full, sweep.row_subsample, sweep.base_seed, trial
-            )
-        else:
-            truths[trial] = truth_full
-    tasks = _grid_tasks(sweep)
-    payloads = [(truths[trial], sweep, cell, trial) for cell, trial in tasks]
-    return _aggregate(sweep, _run_tasks(tasks, _real_trial, payloads, workers, strict))
+    # per-trial ground truths are fixed across cells, keyed by trial only;
+    # each task carries its own trial's truth
+    truths = [
+        truth_full if sweep.row_subsample is None
+        else subsample_rows(truth_full, sweep.row_subsample, sweep.base_seed, trial)
+        for trial in range(sweep.trials)
+    ]
+    return _run_sweep(
+        sweep, _real_trial, lambda cell, trial: (truths[trial], sweep, cell, trial), workers
+    )

@@ -33,10 +33,10 @@ F(x) - dF*gamma instead of F(x), with gamma the Tikhonov-regularized
 least-squares fit of the step residual g = F(x) - x by the differences dG of
 up to 8 past steps (``_ANDERSON_MEMORY``), or 3 in solves that take the warm
 svt step (``_ANDERSON_WARM_MEMORY``).  The extrapolated point is only ever a
-start: every iteration is one plain ADMM step, and the stopping test, the
-residual histories, residual balancing and the returned blocks see only
-step outputs, whose residuals certify them whatever the start, so the
-stopping rule and the exact observation match hold as without acceleration.
+start: every iteration is one plain ADMM step, and the stopping test,
+residual balancing and the returned blocks see only step outputs, whose
+residuals certify them whatever the start, so the stopping rule and the
+exact observation match hold as without acceleration.
 When a step from an extrapolated start leaves a larger fixed-point residual
 ||(Z+ - Z, A - Z+)|| than the step before, the safeguard discards it: the
 next step starts from the plain point the extrapolation replaced and the
@@ -48,10 +48,11 @@ starts from the previous call's right singular block, the kept vectors plus
 a few more: one subspace step (Halko, Martinsson & Tropp, SIAM Rev. 2011),
 as in SVT with partial SVDs (Cai, Candes & Shen, SIAM J. Optim. 2010).  The
 block lives in the solve; the first call of a solve, and any call whose
-block is too wide to pay or proves too small, take svt's Gram route.  A warm step is inexact
-and certifies nothing: when one passes the stopping test, the same step is
-repeated from the same start with the exact svt, counted as one more
-iteration, and only such an exact step may end the solve as converged.
+block is too wide to pay or proves too small, take svt's Gram route.  A warm
+step is inexact and certifies nothing: when one passes the stopping test, the
+same step is repeated from the same start with the exact svt, counted as one
+more iteration, and every later step of the solve takes the exact svt too, so
+only an exact step may end the solve as converged.
 
 One block is singular value thresholding, the other one entrywise step: on O it
 overwrites with the observations (exact), blends toward them (quad) or
@@ -139,8 +140,9 @@ _ANDERSON_MEMORY, _ANDERSON_WARM_MEMORY = 8, 3
 # Tikhonov weight of the Anderson least squares, relative to its Gram trace
 _ANDERSON_REG = 1e-5
 # solves with min(n1, n2) at or above this take the warm svt step; whole n x n
-# solves of all five modes on three instance families lose with it at n = 20,
-# break even at 30-35 and win by a quarter or more from 40 on
+# solves of all five modes on three instance families (large/rank4/trend), warm
+# time over exact, best of 5: n = 30 1.32/0.92/1.53, 35 1.07/1.04/0.71,
+# 40 0.90/0.82/0.83, 45 0.71/0.81/0.76, so from 40 on every family wins
 _WARM_SVT_MIN_DIM = 40
 
 
@@ -235,8 +237,6 @@ class SolveResult:
     accelerated_steps: int = 0
     rejected_steps: int = 0
     warm_svt_steps: int = 0
-    primal_history: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
-    dual_history: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
     sparse: np.ndarray | None = field(repr=False, default=None)
     _state: tuple | None = field(repr=False, default=None)
 
@@ -290,8 +290,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _result(problem, completed, status, iterations, rnorm, snorm, rhist, dhist, sparse=None,
-            state=None, **counts):
+def _result(problem, completed, status, iterations, rnorm, snorm, sparse=None, state=None,
+            **counts):
     completed = _freeze(completed)
     if sparse is not None:
         sparse = _freeze(sparse)
@@ -310,8 +310,6 @@ def _result(problem, completed, status, iterations, rnorm, snorm, rhist, dhist, 
         dual_residual=snorm,
         status=status,
         rank_estimate=rank,
-        primal_history=_freeze(np.asarray(rhist)),
-        dual_history=_freeze(np.asarray(dhist)),
         sparse=sparse,
         _state=state,
         **counts,
@@ -416,7 +414,8 @@ def solve(
     cfg = cfg or SolverConfig()
     y = project(problem.observed_values, problem.mask)
     warm = min(problem.shape) >= _WARM_SVT_MIN_DIM
-    # the warm step's block, carried from call to call; exact: the next step calls svt
+    # the warm step's block, carried from call to call; exact: the next step calls
+    # svt, as every step does once a warm step has passed the stopping test
     block, exact = None, not warm
 
     def threshold(v, tau):
@@ -440,7 +439,6 @@ def solve(
     # the output or an extrapolation of it
     f = x = np.stack((z, u))
     extrapolated = False
-    rhist, dhist = [], []
     status = MAX_ITERS
     it = changes = accelerated = rejected = warm_steps = 0
     rnorm = snorm = gnorm_prev = float("inf")
@@ -458,8 +456,6 @@ def solve(
             dz, r = g.reshape(2, -1)
             dznorm, rnorm = math.sqrt(dz @ dz), math.sqrt(r @ r)
             snorm = pen * dznorm
-            rhist.append(rnorm)
-            dhist.append(snorm)
             accelerated += extrapolated
             warm_steps += not exact
             if rnorm <= ptol and snorm <= dtol:
@@ -467,10 +463,9 @@ def solve(
                     status = CONVERGED
                     break
                 # a warm step certifies nothing: repeat it from the same start
-                # with the exact svt, and test that step
+                # with the exact svt, which every later step keeps
                 exact = True
                 continue
-            exact = not warm
             # ||g||, the fixed-point residual of this step
             gnorm = math.hypot(dznorm, rnorm)
             if extrapolated and gnorm > gnorm_prev:
@@ -499,8 +494,8 @@ def solve(
     low_rank, entrywise = (z, a) if fit == "quad" else (a, z)
     completed = entrywise if fit == "exact" else low_rank
     sparse = y - entrywise if fit == "l1" else None
-    return _result(problem, completed, status, it, rnorm, snorm, rhist, dhist, sparse,
-                   (a, z, u, pen), penalty_changes=changes, accelerated_steps=accelerated,
+    return _result(problem, completed, status, it, rnorm, snorm, sparse, (a, z, u, pen),
+                   penalty_changes=changes, accelerated_steps=accelerated,
                    rejected_steps=rejected, warm_svt_steps=warm_steps)
 
 
@@ -609,4 +604,4 @@ def oracle_solve(
             x, evals = res.x, evals + res.nfev
         completed[free] = x
     sparse = y - completed if fit == "l1" else None
-    return _result(problem, completed, CONVERGED, evals, 0.0, 0.0, [], [], sparse=sparse)
+    return _result(problem, completed, CONVERGED, evals, 0.0, 0.0, sparse)

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -131,6 +132,9 @@ class TestRunCell:
         with pytest.raises(CellError) as info:
             run_cell(grid, (0.0, 0.0), 0)
         assert info.value.cell == (0.0, 0.0)
+        # it leaves a pooled worker intact
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert (copy.cell, copy.trial_index, str(copy)) == ((0.0, 0.0), 0, str(info.value))
 
     def test_noisy_cell_uses_noisy_pair(self):
         grid = small_grid(noise_sigma=0.05)
@@ -246,18 +250,21 @@ class TestRunGrid:
         assert repr(serial.records) == repr(parallel.records)
         np.testing.assert_array_equal(serial.mean_ratio, parallel.mean_ratio)
 
-    def test_strict_propagates_cell_error(self):
-        grid = small_grid(zero_rates=(0.0,), nonzero_rates=(0.0,), trials=1)
-        with pytest.raises(CellError):
-            run_grid(grid)
-
     def test_non_strict_marks_failures(self):
         grid = small_grid(zero_rates=(0.0,), nonzero_rates=(0.0,), trials=2)
-        result = run_grid(grid, strict=False)
+        result = run_grid(grid)
         assert len(result.records) == 2
         assert all(r.outcome == OUTCOME_FAILED for r in result.records)
         assert result.failures[0, 0] == 2
         assert math.isnan(result.mean_ratio[0, 0])
+
+    def test_repeated_rate_counts_each_trial_once(self):
+        # a rate listed twice is two cells with the same draws, each of
+        # whose counts holds its own trials
+        grid = small_grid(zero_rates=(0.0, 0.0), nonzero_rates=(0.0,), trials=2)
+        result = run_grid(grid)
+        assert len(result.records) == 4
+        assert result.failures.tolist() == [[2], [2]]
 
     def test_deterministic_replay(self):
         grid = small_grid(trials=2)
@@ -328,6 +335,24 @@ class TestRunRealMatrix:
         pooled, serial = run_real_matrix(m, sweep, workers=2), run_real_matrix(m, sweep)
         assert repr(pooled.records) == repr(serial.records)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_cell_fails_and_keeps_the_others(self, workers):
+        # the (0.0, 0.0) cell observes nothing on every attempt, a CellError
+        m = survey_matrix()
+        sweep = small_sweep(zero_rates=(0.0,), nonzero_rates=(0.0, 0.8), trials=2)
+        result = run_real_matrix(m, sweep, workers=workers)
+        assert [(r.cell, r.trial_index) for r in result.records] == [
+            ((0.0, 0.0), 0), ((0.0, 0.0), 1), ((0.0, 0.8), 0), ((0.0, 0.8), 1)
+        ]
+        failed, finished = result.records[:2], result.records[2:]
+        assert all(r.outcome == OUTCOME_FAILED for r in failed)
+        assert all("degenerate draws exhausted" in r.error for r in failed)
+        assert all(r.outcome != OUTCOME_FAILED for r in finished)
+        assert result.failures.tolist() == [[2, 0]]
+        assert math.isnan(result.mean_alpha[0, 0]) and not math.isnan(result.mean_alpha[0, 1])
+        alone = run_real_matrix(m, small_sweep(zero_rates=(0.0,), nonzero_rates=(0.8,), trials=2))
+        assert repr(finished) == repr(alone.records)
+
 
 class TestWorkerCount:
     @pytest.mark.parametrize("workers", [0, -3])
@@ -345,20 +370,20 @@ class TestSolverConfigThreading:
         assert rec.status_baseline == "max-iters"
 
 
-def _blas_thread_vars(_):
+def _report_blas_thread_vars():
     # a spawned worker loaded numpy after these variables were set; a forked
-    # one inherits the parent's BLAS threads whatever they say
+    # one inherits the parent's BLAS threads whatever they say.  The report
+    # travels back as the failed record's error.
     start = multiprocessing.get_start_method(allow_none=True)
-    return (start, *(os.environ.get(name) for name in harness._WORKER_BLAS_THREADS))
+    raise RuntimeError(repr((start, *(os.environ.get(n) for n in harness._WORKER_BLAS_THREADS))))
 
 
 class TestSweepExecutor:
     def test_workers_run_one_blas_thread(self, monkeypatch):
         for name in harness._WORKER_BLAS_THREADS:
             monkeypatch.delenv(name, raising=False)
-        tasks = [((0.3, 0.8), 0), ((0.3, 0.8), 1)]
-        seen = harness._run_tasks(tasks, _blas_thread_vars, [(None,), (None,)], 2, True)
-        assert seen == [("spawn", "1", "1"), ("spawn", "1", "1")]
+        result = harness._run_sweep(small_grid(), _report_blas_thread_vars, lambda *_: (), 2)
+        assert [r.error for r in result.records] == [repr(("spawn", "1", "1"))] * 2
         assert not any(name in os.environ for name in harness._WORKER_BLAS_THREADS)
 
     @pytest.mark.parametrize("kept", harness._WORKER_BLAS_THREADS)
@@ -385,16 +410,8 @@ class TestSweepExecutor:
             return real_solve(problem, cfg, **kwargs)
 
         monkeypatch.setattr(harness, "solve", flaky_solve)
-        result = run_grid(small_grid(trials=3), strict=False)
+        result = run_grid(small_grid(trials=3))
         assert [r.trial_index for r in result.records] == [0, 1, 2]
         assert [r.outcome for r in result.records] == [OUTCOME_OK, OUTCOME_FAILED, OUTCOME_OK]
         assert "solver blew up" in result.records[1].error
         assert result.failures[0, 0] == 1
-
-    def test_strict_propagates_unexpected_error(self, monkeypatch):
-        def broken_solve(problem, cfg=None, **kwargs):
-            raise RuntimeError("solver blew up")
-
-        monkeypatch.setattr(harness, "solve", broken_solve)
-        with pytest.raises(RuntimeError):
-            run_grid(small_grid(trials=1))

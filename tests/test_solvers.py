@@ -383,12 +383,6 @@ class TestSolverContracts:
         # constraint still enforced on the returned iterate
         assert np.array_equal(res.completed[mask.lookup], m[mask.lookup])
 
-    def test_residual_histories_recorded(self):
-        m, mask = _random_problem(24)
-        res = solve(CompletionProblem(m, mask, "nnm-exact"))
-        assert len(res.primal_history) == res.iterations
-        assert len(res.dual_history) == res.iterations
-
     def test_rank_estimate(self):
         assert estimate_rank(np.zeros((3, 3))) == 0
         assert estimate_rank(np.diag([5.0, 3.0, 1e-9])) == 2
@@ -507,7 +501,6 @@ class TestAnderson:
         assert res.rejected_steps == res.accelerated_steps > 0
         assert res.iterations == plain.iterations + res.rejected_steps
         assert np.array_equal(res.completed, plain.completed)
-        assert len(res.primal_history) == res.iterations
 
 
 def _objective_slack(p, res, reference, tol=SolverConfig().primal_tol):
@@ -570,10 +563,12 @@ class TestWarmSvt:
                 exact = solve(p)
             assert warm.status == exact.status == CONVERGED, formulation
             assert exact.warm_svt_steps == 0, formulation
-            # one svt call per iteration, and the step that converged was exact
-            assert len(calls) == warm.iterations, formulation
-            assert calls.count("warm") == warm.warm_svt_steps > 0, formulation
-            assert calls[-1] == "exact", formulation
+            # one svt call per iteration: warm steps until one passes the
+            # stopping test, exact ones from its repeat on, so the step that
+            # converged was exact
+            steps = warm.warm_svt_steps
+            assert 0 < steps < warm.iterations, formulation
+            assert calls == ["warm"] * steps + ["exact"] * (warm.iterations - steps), formulation
             reference = max(warm.objective, exact.objective)
             slack = _objective_slack(p, warm, reference)
             assert abs(warm.objective - exact.objective) <= slack, formulation
