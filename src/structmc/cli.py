@@ -27,7 +27,7 @@ from .dataio import (
     write_manifest,
     write_results_csv,
 )
-from .errors import DegenerateDrawError, NumericalError, UsageError
+from .errors import NumericalError, UsageError
 from .harness import run_grid, run_real_matrix
 from .solvers import (
     CONVERGED,
@@ -85,12 +85,19 @@ def cmd_complete(args) -> int:
                               for f in dataclasses.fields(SolverConfig)})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.mask is None and not args.infer_mask:
-        raise UsageError("provide --mask FILE or --infer-mask")
+    if (args.mask is not None) == args.infer_mask:
+        raise UsageError("provide one of --mask FILE or --infer-mask")
     _check_mode_flags(args)
-    matrix, mask = ingest_matrix_csv(args.input, policy="mask")
+    matrix, filled = ingest_matrix_csv(args.input, policy="mask")
+    mask = filled
     if args.mask is not None:
         mask = ingest_mask_csv(args.mask, matrix.shape[0], matrix.shape[1])
+        empty = np.argwhere(mask.lookup & ~filled.lookup)
+        if empty.size:
+            i, j = empty[0]
+            raise ValueError(
+                f"{args.mask}: observed entry ({i}, {j}) is an empty cell of {args.input}"
+            )
     if mask.size == 0:
         raise ValueError(f"{args.mask or args.input}: no entry is observed")
     rho = args.rho
@@ -153,7 +160,7 @@ def cmd_generate(args) -> int:
         raise UsageError(str(exc)) from exc
     matrix = generate_low_rank(spec)
     if not matrix.any():
-        raise DegenerateDrawError(
+        raise ValueError(
             "generator produced the all-zero matrix; raise the densities or change the seed"
         )
     mask = sample_structured_mask(matrix, sampling)
@@ -314,7 +321,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc.filename}: {exc.strerror}" if exc.filename is not None
               else f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DegenerateDrawError, ValueError) as exc:
+    except ValueError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

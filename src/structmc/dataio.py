@@ -4,7 +4,8 @@ File conventions
 ----------------
 * Matrix CSV: headerless rows of decimal values; an empty cell marks an
   unobserved entry (only meaningful under the "mask" ingest policy).
-* Mask CSV: headerless ``i,j`` zero-based index pairs, row-major order.
+* Mask CSV: headerless ``i,j`` zero-based index pairs, row-major order;
+  every pair lies inside the matrix and none repeats.
 * Config: INI-style key/value document whose sections and keys are those
   of ``_SCHEMA``, read literally; schema errors, unknown sections and keys
   among them, report the offending ``section.key``.
@@ -108,7 +109,7 @@ def ingest_matrix_csv(path, policy: str = "strict"):
     matrix, observed = parsed
     if policy == "strict":
         return matrix, None
-    return matrix, ObservationMask.from_lookup(observed)
+    return matrix, ObservationMask(observed)
 
 
 def _parse_plain_matrix(path):
@@ -189,8 +190,10 @@ def emit_mask_csv(path, mask: ObservationMask) -> None:
 def ingest_mask_csv(path, rows: int, cols: int) -> ObservationMask:
     """Read an index-pair CSV into a mask for a ``rows x cols`` matrix.
 
-    numpy parses a file of ``i,j`` lines of plain digits; any other file
-    goes through the line loop, which names the first bad line.
+    Every pair must lie inside the matrix and none may repeat.  numpy parses
+    a file of ``i,j`` lines of plain digits whose pairs pass both checks;
+    any other file goes through the line loop, which names the line of the
+    first bad pair.
     """
     with open(path, "rb") as fh:
         # a few lines at a time: a freed buffer above glibc's mmap threshold
@@ -202,33 +205,37 @@ def ingest_mask_csv(path, rows: int, cols: int) -> ObservationMask:
             parts.append(np.fromstring(chunk.replace(b"\n", b","), dtype=np.int64, sep=","))
         else:
             if parts:
-                return _mask(path, rows, cols, np.concatenate(parts))
-    flat = []
+                i, j = np.concatenate(parts).reshape(-1, 2).T
+                if i.max() < rows and j.max() < cols:
+                    lookup = np.zeros(rows * cols, dtype=bool)
+                    lookup[i * cols + j] = True
+                    if np.count_nonzero(lookup) == i.size:  # no pair repeats
+                        return ObservationMask(lookup.reshape(rows, cols))
+    lookup = np.zeros((rows, cols), dtype=bool)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, raw in enumerate(reader):
+        for line_no, raw in enumerate(csv.reader(fh)):
             if not raw:
                 continue
             if len(raw) != 2:
                 raise CsvParseError(path, line_no, 0, f"expected 'i,j', got {raw!r}")
             try:
-                flat += (int(raw[0]), int(raw[1]))
+                i, j = int(raw[0]), int(raw[1])
             except ValueError:
                 raise CsvParseError(
                     path, line_no, 0, f"indices must be integers, got {raw!r}"
                 ) from None
-    return _mask(path, rows, cols, np.array(flat))
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise CsvParseError(
+                    path, line_no, 0, f"index ({i}, {j}) outside a {rows}x{cols} mask"
+                )
+            if lookup[i, j]:
+                raise CsvParseError(path, line_no, 0, f"duplicate index pair ({i}, {j})")
+            lookup[i, j] = True
+    return ObservationMask(lookup)
 
 
 # at most 18 digits, so every index fits an int64
 _PLAIN_PAIRS = re.compile(rb"(?:[0-9]{1,18},[0-9]{1,18}\n)+")
-
-
-def _mask(path, rows: int, cols: int, flat: np.ndarray) -> ObservationMask:
-    try:
-        return ObservationMask(rows, cols, flat.reshape(-1, 2))
-    except ValueError as exc:
-        raise CsvParseError(path, -1, -1, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,6 @@ class InvalidSamplingError(StructmcError, ValueError):
     """A sampling spec produced an empty observation mask."""
 
 
-class DegenerateDrawError(StructmcError, RuntimeError):
-    """A generator draw came out degenerate (e.g. the all-zero matrix)."""
-
-
 class OracleBudgetError(StructmcError, ValueError):
     """Problem with more free entries than the reference oracle searches."""
 

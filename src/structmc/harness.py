@@ -273,7 +273,6 @@ class GridResult:
     the cell mean infinite rather than being hidden.
     """
 
-    grid: object
     records: tuple[TrialRecord, ...]
     mean_ratio: np.ndarray
     mean_alpha: np.ndarray
@@ -367,7 +366,7 @@ def _run_sweep(spec, worker, payload, workers) -> GridResult:
             mean_ratio[ij] = float(np.mean(ratios))
         if good:
             mean_alpha[ij] = float(np.mean([r.alpha_used for r in good]))
-    return GridResult(spec, tuple(records), mean_ratio, mean_alpha, both_exact, failures)
+    return GridResult(tuple(records), mean_ratio, mean_alpha, both_exact, failures)
 
 
 def run_grid(grid: ExperimentGrid, workers: int = 1) -> GridResult:

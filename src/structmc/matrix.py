@@ -7,8 +7,6 @@ so validated payloads can be shared across threads without copies.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
@@ -42,49 +40,27 @@ def as_matrix(values) -> np.ndarray:
 
 
 class ObservationMask:
-    """The set of observed (row, col) index pairs of an n1 x n2 matrix.
+    """The observed entries of an n1 x n2 matrix.
 
-    Stored as a same-shape, read-only boolean lookup table, True where
-    observed.  Instances are immutable.
+    Built from, and stored as, a copy of a same-shape boolean lookup table,
+    True where observed, frozen read-only.  Instances are immutable.
     """
 
-    def __init__(self, rows: int, cols: int, observed) -> None:
-        rows = operator.index(rows)
-        cols = operator.index(cols)
-        if rows < 1 or cols < 1:
-            raise ValueError(f"mask dimensions must be positive, got ({rows}, {cols})")
-        idx = _index_pairs(observed)
-        i, j = idx[:, 0], idx[:, 1]
-        outside = np.asarray((i < 0) | (i >= rows) | (j < 0) | (j >= cols), dtype=bool)
-        flat = np.where(outside, -1, i * cols + j).astype(np.intp)
-        repeat = ~outside
-        repeat[np.unique(flat, return_index=True)[1]] = False
-        bad = np.flatnonzero(outside | repeat)
-        if bad.size:
-            k = bad[0]
-            pair = f"({int(i[k])}, {int(j[k])})"
-            if outside[k]:
-                raise ValueError(f"index {pair} outside a {rows}x{cols} mask")
-            raise ValueError(f"duplicate index pair {pair}")
-        lookup = np.zeros(rows * cols, dtype=bool)
-        lookup[flat] = True
-        self._lookup = lookup.reshape(rows, cols)
+    def __init__(self, keep) -> None:
+        keep = np.asarray(keep)
+        if keep.ndim != 2 or keep.dtype != np.bool_:
+            raise ValueError("lookup must be a 2-D boolean array")
+        self._lookup = keep.copy()
         self._lookup.setflags(write=False)
 
     @classmethod
     def from_lookup(cls, keep) -> "ObservationMask":
         """Build a mask from a boolean array (True = observed)."""
-        keep = np.asarray(keep)
-        if keep.ndim != 2 or keep.dtype != np.bool_:
-            raise ValueError("lookup must be a 2-D boolean array")
-        mask = cls.__new__(cls)
-        mask._lookup = keep.copy()
-        mask._lookup.setflags(write=False)
-        return mask
+        return cls(keep)
 
     @classmethod
     def full(cls, rows: int, cols: int) -> "ObservationMask":
-        return cls.from_lookup(np.ones((rows, cols), dtype=bool))
+        return cls(np.ones((rows, cols), dtype=bool))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -106,7 +82,7 @@ class ObservationMask:
 
     def complement(self) -> "ObservationMask":
         """Mask of the unobserved entries; involutive."""
-        return ObservationMask.from_lookup(~self._lookup)
+        return ObservationMask(~self._lookup)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ObservationMask):
@@ -115,26 +91,6 @@ class ObservationMask:
 
     def __repr__(self) -> str:
         return f"ObservationMask({self.shape[0]}x{self.shape[1]}, observed={self.size})"
-
-
-def _index_pairs(observed) -> np.ndarray:
-    """The (n, 2) integer array of the index pairs ``observed``.
-
-    Signed-integer arrays and sequences of int pairs convert in one step; any
-    other input goes pair by pair through ``operator.index``, which raises
-    TypeError for a non-integer index, into an array of Python ints, which
-    also holds indices too large for int64.
-    """
-    if not isinstance(observed, np.ndarray):
-        observed = list(observed)
-    try:
-        idx = np.asarray(observed)
-    except ValueError:  # ragged
-        idx = None
-    if idx is not None and idx.dtype.kind == "i" and idx.ndim == 2 and idx.shape[1] == 2:
-        return idx.astype(np.int64, copy=False)
-    idx = np.array([(operator.index(i), operator.index(j)) for i, j in observed], dtype=object)
-    return idx.reshape(-1, 2)
 
 
 def _check_shape(m: np.ndarray, mask: ObservationMask) -> None:

@@ -342,7 +342,7 @@ def sample_structured_mask(m: np.ndarray, spec: SamplingSpec) -> ObservationMask
     for pos in (chosen_zero, chosen_nonzero):
         if len(pos):
             lookup[pos[:, 0], pos[:, 1]] = True
-    return ObservationMask.from_lookup(lookup)
+    return ObservationMask(lookup)
 
 
 def add_noise(m: np.ndarray, sigma: float, mask: ObservationMask, seed: int) -> np.ndarray:

@@ -97,6 +97,19 @@ class TestComplete:
         completed, _ = ingest_matrix_csv(out, policy="strict")
         assert abs(completed[1, 1] - 1.0) < 1e-2
 
+    def test_mask_that_observes_an_empty_cell_is_data_error(self, tmp_path, capsys):
+        src, maskf = tmp_path / "in.csv", tmp_path / "mask.csv"
+        src.write_text("1,2,\n4,5,6\n,8,9\n")
+        maskf.write_text("0,0\n0,2\n1,1\n2,0\n")
+        code = run_cli(
+            "complete", "--input", str(src), "--mask", str(maskf),
+            "--mode", "nnm-exact", "--output", str(tmp_path / "o.csv"),
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {maskf}: observed entry (0, 2) is an empty cell of {src}\n")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_round_trip_serialization(self, tmp_path):
         src = tmp_path / "m.csv"
         out = tmp_path / "out.csv"
@@ -233,9 +246,10 @@ class TestComplete:
 
     @pytest.mark.parametrize("mode,mask_flags", [
         ("nnm-exact", ()), ("nnm-reg", ("--mask", "missing_mask.csv")),
-    ], ids=["no-mask-flag", "no-alpha"])
+        ("nnm-exact", ("--mask", "missing_mask.csv", "--infer-mask")),
+    ], ids=["no-mask-flag", "no-alpha", "two-mask-sources"])
     def test_missing_flag_is_usage_error_before_any_read(self, tmp_path, capsys, mode, mask_flags):
-        # no mask source, or no --alpha: neither file exists, and neither is read
+        # no mask source, two of them, or no --alpha: neither file exists, and neither is read
         code = run_cli(
             "complete", "--input", str(tmp_path / "missing.csv"), *mask_flags,
             "--mode", mode, "--output", str(tmp_path / "o.csv"),

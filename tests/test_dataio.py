@@ -36,6 +36,8 @@ from structmc.dataio import (
 )
 from structmc.errors import ConfigError, CsvParseError
 
+from masks import mask_of
+
 TRICKY = np.array(
     [
         [0.1, 1.0 / 3.0, -0.0],
@@ -114,7 +116,7 @@ class TestMatrixCsv:
         path.write_text('1.5\n""\n-0.0\n')
         back, inferred = ingest_matrix_csv(path, policy="mask")
         assert back.tobytes() == np.array([[1.5], [0.0], [-0.0]]).tobytes()
-        assert inferred == ObservationMask(3, 1, [(0, 0), (2, 0)])
+        assert inferred == mask_of((3, 1), [(0, 0), (2, 0)])
 
 
 def _outcome(read):
@@ -179,7 +181,7 @@ class TestMatrixCsvNumpyParse:
 
 class TestMaskCsv:
     def test_round_trip(self, tmp_path):
-        mask = ObservationMask(3, 4, [(0, 0), (2, 3), (1, 1)])
+        mask = mask_of((3, 4), [(0, 0), (2, 3), (1, 1)])
         path = tmp_path / "mask.csv"
         emit_mask_csv(path, mask)
         back = ingest_mask_csv(path, 3, 4)
@@ -201,12 +203,20 @@ class TestMaskCsv:
         ("0,0\n1,1\n0,0\n9,9\n", "duplicate index pair (0, 0)"),
         ("0,0\n9,9\n0,0\n", "index (9, 9) outside a 2x2 mask"),
         ("0,1\n\n99999999999999999999999,0\n", "index (99999999999999999999999, 0) outside"),
+        # the same errors with the line they name, counted from 0 like a matrix CSV's rows
+        ("1,1\n0,0\n1,1\n9,9\n", "row 2, col 0: duplicate index pair (1, 1)"),
+        ("0,0\n0,2\n0,0\n", "row 1, col 0: index (0, 2) outside a 2x2 mask"),
+        ("1,1\n-1,0\n", "row 1, col 0: index (-1, 0) outside a 2x2 mask"),
+        ("0,1\n\n99999999999999999999999,0\n1,1\n",
+         "row 2, col 0: index (99999999999999999999999, 0) outside"),
+        ("0,1\n1,0.5\n0,1\n", "row 1, col 0: indices must be integers, got ['1', '0.5']"),
     ])
     def test_first_bad_pair_named(self, tmp_path, text, message):
         path = tmp_path / "mask.csv"
         path.write_text(text)
-        with pytest.raises(CsvParseError, match=re.escape(message)):
+        with pytest.raises(CsvParseError, match=re.escape(message)) as raised:
             ingest_mask_csv(path, 2, 2)
+        assert raised.value.row >= 0  # a line of the file
 
 
 SYNTH_CONFIG = """
@@ -416,16 +426,18 @@ class TestConfig:
         assert "generator" in str(info.value)
 
 
+TINY_GRID = ExperimentGrid(
+    zero_rates=(0.3, 1.0),
+    nonzero_rates=(1.0,),
+    alphas=(0.1, 0.01),
+    trials=1,
+    generator=GeneratorSpec(8, 8, 2, 0.5, 0.6),
+    base_seed=2024,
+)
+
+
 def tiny_result():
-    grid = ExperimentGrid(
-        zero_rates=(0.3, 1.0),
-        nonzero_rates=(1.0,),
-        alphas=(0.1, 0.01),
-        trials=1,
-        generator=GeneratorSpec(8, 8, 2, 0.5, 0.6),
-        base_seed=2024,
-    )
-    return run_grid(grid)
+    return run_grid(TINY_GRID)
 
 
 class TestResultsSerialization:
@@ -461,7 +473,7 @@ class TestResultsSerialization:
             TrialRecord((1.0, 0.0), 0, 1e-4, math.inf, 2.5, 0.0, **common),
             TrialRecord((0.0, 0.0), 3, nan, nan, nan, nan, "", "", error="cell (0, 0): no draw"),
         )
-        result = GridResult(None, records, None, None, None, None)
+        result = GridResult(records, None, None, None, None)
         path = tmp_path / "results.csv"
         write_results_csv(path, result)
         assert path.read_bytes().decode().split("\n") == [
@@ -478,7 +490,7 @@ class TestResultsSerialization:
     def test_heatmap_layout(self, tmp_path):
         result = tiny_result()
         path = tmp_path / "heatmap.csv"
-        write_heatmap_csv(path, result.grid.zero_rates, result.grid.nonzero_rates, result.mean_ratio)
+        write_heatmap_csv(path, TINY_GRID.zero_rates, TINY_GRID.nonzero_rates, result.mean_ratio)
         lines = path.read_text().splitlines()
         assert lines[0] == "rate_zero,1.0"
         assert lines[1].startswith("0.3,")

@@ -19,6 +19,8 @@ from structmc import (
 )
 from structmc.errors import DimensionMismatchError, NumericalError
 
+from masks import mask_of
+
 
 def nm_search(fun, x0, restarts=14, maxfev=8000):
     """Independent prox-definition oracle: restarted Nelder-Mead."""
@@ -94,7 +96,7 @@ class TestSoftThreshold:
 
     def test_partial_support(self):
         m = np.full((2, 2), 3.0)
-        out = soft_threshold(m, 1.0, ObservationMask(2, 2, [(0, 0)]))
+        out = soft_threshold(m, 1.0, mask_of((2, 2), [(0, 0)]))
         np.testing.assert_array_equal(out, [[2.0, 3.0], [3.0, 3.0]])
 
     def test_l1_reduction_identity(self):
@@ -159,7 +161,7 @@ class TestEnforceObserved:
 
     def test_mixed(self):
         out = enforce_observed(
-            np.array([[9.0, 9.0]]), np.array([[1.0, 0.0]]), ObservationMask(1, 2, [(0, 0)])
+            np.array([[9.0, 9.0]]), np.array([[1.0, 0.0]]), mask_of((1, 2), [(0, 0)])
         )
         np.testing.assert_array_equal(out, [[1.0, 9.0]])
 

@@ -30,12 +30,14 @@ from structmc import (
 from structmc.errors import OracleBudgetError
 from structmc.solvers import estimate_rank
 
+from masks import mask_of
+
 TIGHT = SolverConfig(max_iters=20000, primal_tol=1e-9, dual_tol=1e-9)
 
 # 2x2 all-ones with entry (1,1) unobserved; the nuclear norm is minimized by
 # the rank-1 completion x = 1, and with alpha = 0.1 the penalized minimizer
 # of sqrt(x^2 - 2x + 5) + 0.1*x is x = 1 - 0.2/sqrt(0.99) = 0.7989924369...
-ONES_MASK = ObservationMask(2, 2, [(0, 0), (0, 1), (1, 0)])
+ONES_MASK = mask_of((2, 2), [(0, 0), (0, 1), (1, 0)])
 ONES_OBS = [[1.0, 1.0], [1.0, 0.0]]
 REG_MINIMIZER = 0.7989924369481576
 
@@ -208,7 +210,7 @@ class TestNnmNoisy:
     def test_matches_oracle_3x3(self):
         rng = stream(7, "noisy-oracle")
         m = as_matrix(rng.random((3, 3)))
-        mask = ObservationMask(3, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2)])
+        mask = mask_of((3, 3), [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2)])
         p = CompletionProblem(m, mask, "nnm-noisy", rho=0.5)
         res = solve(p, TIGHT)
         orc = oracle_solve(p)
@@ -229,7 +231,7 @@ class TestNnmNoisyReg:
     def test_matches_oracle_3x3(self):
         rng = stream(7, "noisy-reg-oracle")
         m = as_matrix(rng.random((3, 3)))
-        mask = ObservationMask(3, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2)])
+        mask = mask_of((3, 3), [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2)])
         p = CompletionProblem(m, mask, "nnm-noisy-reg", rho=0.5, alpha=0.1)
         res = solve(p, TIGHT)
         orc = oracle_solve(p)
@@ -281,7 +283,7 @@ class TestRpcaRestricted:
     def test_matches_oracle_3x3(self):
         rng = stream(7, "rpca-oracle")
         m = as_matrix(rng.random((3, 3)))
-        mask = ObservationMask(3, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2)])
+        mask = mask_of((3, 3), [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2)])
         p = CompletionProblem(m, mask, "rpca-restricted", alpha=0.5)
         res, sparse = solve_rpca_restricted(p, TIGHT)
         orc = oracle_solve(p)
