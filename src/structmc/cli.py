@@ -190,16 +190,16 @@ def cmd_benchmark(args) -> int:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     config = load_config(args.config)
     spec = config.spec
-    # every input is read before the output directory is made
     if config.matrix_path is not None:
         matrix, _ = ingest_matrix_csv(config.matrix_path, policy="strict")
-    os.makedirs(args.outdir, exist_ok=True)
     started = time.monotonic()
     if config.matrix_path is None:
         result = run_grid(spec, workers=args.workers)
     else:
         result = run_real_matrix(matrix, spec, workers=args.workers)
     wall = time.monotonic() - started
+    # made once the sweep returns, so that a sweep that fails its checks leaves no directory
+    os.makedirs(args.outdir, exist_ok=True)
     write_results_csv(os.path.join(args.outdir, "results.csv"), result)
     write_heatmap_csv(
         os.path.join(args.outdir, "heatmap_ratio.csv"),
@@ -226,6 +226,7 @@ def cmd_benchmark(args) -> int:
         "zero_rates": list(spec.zero_rates),
         "nonzero_rates": list(spec.nonzero_rates),
         "row_subsample": spec.row_subsample,
+        "solver": dataclasses.asdict(spec.solver),
         "records": len(result.records),
         "failed_trials": n_failed,
         "nonconverged_trials": n_nonconverged,

@@ -148,7 +148,7 @@ class TrialRecord:
     err_nnm: float
     status_baseline: str
     status_reg: str
-    attempts: int = 1
+    attempts: int | None = 1  # None if failed
     alpha_errors: tuple | None = None  # (alpha, error) per candidate; None if failed
     error: str | None = None
 
@@ -350,7 +350,7 @@ def _run_sweep(spec, worker, payload, workers) -> GridResult:
                 nan = float("nan")
                 records.append(TrialRecord(cell, trial, alpha_used=nan, ratio=nan, err_reg=nan,
                                            err_nnm=nan, status_baseline="", status_reg="",
-                                           error=str(exc)))
+                                           attempts=None, error=str(exc)))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -9,8 +9,9 @@ et al., SC'11).  The 128-bit Philox key is ``(seed, fold(path))`` where
 floats by their IEEE-754 bit pattern, and string tags through blake2s.
 Distinct (seed, path) pairs therefore get independent streams, and the same
 pair reproduces bit-identical draws on any platform.  Gaussian variates are
-produced by inverse-CDF over 53-bit uniforms (not the ziggurat), so noise
-streams are portable too.  The draws of the package, ``random(size)`` and
+produced by inverse-CDF over 53-bit uniforms (not the ziggurat), through the
+standard library's ``statistics.NormalDist().inv_cdf``, so noise streams are
+portable too.  The draws of the package, ``random(size)`` and
 ``permutation(n)``, run in numpy alone; any other call, such as a test's
 ``standard_normal``, continues on numpy's own Generator from the same
 position (see :func:`stream`).
@@ -21,7 +22,6 @@ Draw order is part of the contract and is documented on each operation.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,85 +171,22 @@ def stream(seed: int, *path) -> _Stream:
     return _Stream(np.array([int(seed) & _MASK64, derive_seed(seed, *path)], dtype=np.uint64))
 
 
-# Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
-# 1989): a rational fit in (u - 0.5)^2 on the centre, and in 1/z with
-# z = sqrt(-2 log y) on the tails, y the smaller of u and 1 - u.
-_EXP_M2 = 0.13533528323661269189  # exp(-2), where the centre fit ends
-_S2PI = 2.50662827463100050242  # sqrt(2 pi)
-_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-       1.39312609387279679503e1, -1.23916583867381258016e0)
-_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-       1.59056225126211695515e1, -1.18331621121330003142e0)
-# z < 8, i.e. y > exp(-32)
-_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-# z >= 8
-_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-       2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-
-def _polevl(x, coef):
-    """Horner's rule with the leading coefficient ``coef[0]``."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    """Horner's rule for a monic polynomial; ``coef`` omits the leading 1."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ndtri(u: np.ndarray) -> np.ndarray:
-    """Inverse standard normal CDF of each u in (0, 1), as Cephes ``ndtri``.
-
-    The operations are Cephes' own, in its order, and the tail logarithms
-    are ``math.log``, the C library's ``log`` that Cephes calls, so the
-    result matches scipy's compiled ``ndtri`` bit for bit.
-    """
-    upper = u > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - u, u)
-    out = np.empty_like(y)
-    centre = y > _EXP_M2
-    c = y[centre] - 0.5
-    c2 = c * c
-    out[centre] = (c + c * (c2 * _polevl(c2, _P0) / _p1evl(c2, _Q0))) * _S2PI
-    tail = ~centre
-    z = np.sqrt(-2.0 * np.array([math.log(v) for v in y[tail].tolist()]))
-    z0 = z - np.array([math.log(v) for v in z.tolist()]) / z
-    w = 1.0 / z
-    z1 = np.where(z < 8.0, w * _polevl(w, _P1) / _p1evl(w, _Q1),
-                  w * _polevl(w, _P2) / _p1evl(w, _Q2))
-    out[tail] = np.where(upper[tail], z0 - z1, z1 - z0)
-    return out
-
-
 def _normal_draws(rng, shape, sigma: float = 1.0) -> np.ndarray:
     """Gaussian draws via inverse-CDF over 53-bit uniforms (portable).
 
-    Each draw is ``sigma * ndtri(u)`` with u = (k + 0.5) * 2^-53 for a
-    uniform integer k in [0, 2^53), capped at 1 - 2^-53, and ``ndtri`` a
-    numpy port of Cephes ``ndtri``; ``tests/test_synth.py`` checks it
-    against scipy's ``ndtri`` bit for bit.
+    Each draw is ``sigma * NormalDist().inv_cdf(u)`` with u = (k + 0.5) * 2^-53
+    for a uniform integer k in [0, 2^53), capped at 1 - 2^-53.  ``inv_cdf`` is
+    the standard library's AS241 (Wichura, 1988), the same bits in its C
+    and pure-Python forms; ``tests/test_synth.py`` checks both, and checks
+    it against scipy's ``ndtri``.
     """
+    from statistics import NormalDist  # only processes that draw noise load it
+
     # random() is k * 2^-53 exactly, so adding 2^-54 rounds as (k + 0.5) * 2^-53
     # does: to 1.0 for the top k, which the cap keeps below 1, so every u
     # lies strictly inside (0, 1) and every draw is finite
-    u = rng.random(int(np.prod(shape))) + 2.0**-54
-    return (sigma * _ndtri(np.minimum(u, 1.0 - 2.0**-53))).reshape(shape)
+    u = np.minimum(rng.random(int(np.prod(shape))) + 2.0**-54, 1.0 - 2.0**-53)
+    return (sigma * np.array(list(map(NormalDist().inv_cdf, u.tolist())))).reshape(shape)
 
 
 @dataclass(frozen=True)

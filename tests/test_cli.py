@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import structmc
+from structmc import SolverConfig
 from structmc.cli import main
 from structmc.dataio import emit_matrix_csv, ingest_matrix_csv
 
@@ -397,8 +400,20 @@ class TestBenchmark:
         outdir = tmp_path / "out"
         code = run_cli("benchmark", "--config", str(cfg), "--outdir", str(outdir))
         assert code == 0
-        text = (outdir / "results.csv").read_text()
-        assert "failed" in text
+        # every redraw observes nothing; the failed trial's attempts cell is
+        # empty, like its other numbers, not the record's default 1
+        rows = list(csv.DictReader((outdir / "results.csv").read_text().splitlines()))
+        assert [(r["outcome"], r["attempts"], r["error"]) for r in rows] == [
+            ("failed", "", "cell (rate_zero=0.0, rate_nonzero=0.0), trial 0: "
+                       "degenerate draws exhausted 8 attempts")]
+
+    def test_manifest_records_solver_settings(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(SYNTH_CONFIG + "\n[solver]\nprimal_tol = 1e-8\n")
+        outdir = tmp_path / "out"
+        assert run_cli("benchmark", "--config", str(cfg), "--outdir", str(outdir)) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["solver"] == dict(dataclasses.asdict(SolverConfig()), primal_tol=1e-8)
 
     def test_nonconverged_trials_reported(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
@@ -541,6 +556,24 @@ class TestFileErrors:
         self._assert_data_error(capsys, code, os.path.join(str(tmp_path), matrix))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("matrix,row_subsample,message", [
+        ("1,2,3\n4,5,6\n", 5, "cannot subsample 5 rows from 2"),
+        ("0,0,0\n0,0,0\n", 1, "ground-truth matrix has no nonzero entries"),
+    ], ids=["subsample", "all-zero"])
+    def test_real_sweep_that_fails_its_checks_makes_no_outdir(
+            self, tmp_path, capsys, matrix, row_subsample, message):
+        (tmp_path / "m.csv").write_text(matrix)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[experiment]\nkind = real\ntrials = 1\nbase_seed = 5\nalphas = 0.1\n"
+            "zero_rates = 0.5\nnonzero_rates = 0.9\n\n[real]\nmatrix = m.csv\n"
+            f"row_subsample = {row_subsample}\n"
+        )
+        code = run_cli("benchmark", "--config", str(cfg), "--outdir", str(tmp_path / "out"))
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_benchmark_outdir_under_a_regular_file(self, tmp_path, capsys):
         d = self._inputs(tmp_path)
         cfg = tmp_path / "cfg.ini"
@@ -568,10 +601,13 @@ class TestTopLevel:
     @pytest.mark.parametrize("kind", ["synthetic", "real-noisy"])
     def test_sweep_leaves_numpy_random_and_openssl_unloaded(self, tmp_path, kind):
         # the draws run on the numpy port of Philox; seed tags hash with
-        # _blake2, not hashlib and its OpenSSL binding _hashlib
+        # _blake2, not hashlib and its OpenSSL binding _hashlib; only noise
+        # draws load statistics
+        unloaded = ("numpy.random", "hashlib", "_hashlib")
         cfg = tmp_path / "cfg.ini"
         if kind == "synthetic":
             cfg.write_text(SYNTH_CONFIG)
+            unloaded += ("statistics",)
         else:
             (tmp_path / "truth.csv").write_text(
                 "0,1,2,0,3\n4,0,1,2,0\n0,2,0,1,4\n3,0,2,0,1\n1,2,0,4,0\n0,0,3,1,2\n")
@@ -587,15 +623,15 @@ class TestTopLevel:
                 runpy.run_module("structmc", run_name="__main__", alter_sys=True)
             except SystemExit as exc:
                 assert exc.code == 0, exc.code
-            print("LOADED", [m for m in ("numpy.random", "hashlib", "_hashlib")
-                             if m in sys.modules])
+            print("LOADED", [m for m in {unloaded!r} if m in sys.modules])
         """)
         assert run_python(script) == "LOADED []"
         assert (tmp_path / "out" / "results.csv").exists()
 
     def test_complete_leaves_heavy_scipy_modules_unloaded(self, tmp_path):
         # scipy.optimize serves only the oracle; a CLI process that imports it
-        # or scipy.special pays for it at start-up
+        # or scipy.special pays for it at start-up.  generate and complete draw
+        # no noise (--sigma only sets rho), so statistics stays unloaded too
         script = textwrap.dedent(f"""
             import sys
             from structmc.cli import main
@@ -607,14 +643,14 @@ class TestTopLevel:
             assert main(["complete", "--input", out + "/m.csv", "--mask", out + "/k.csv",
                          "--mode", "nnm-noisy", "--sigma", "0.1",
                          "--output", out + "/c.csv"]) == 0
-            heavy = ("scipy.optimize", "scipy.special", "scipy.linalg")
+            heavy = ("scipy.optimize", "scipy.special", "scipy.linalg", "statistics")
             print("LOADED", [name for name in heavy if name in sys.modules])
         """)
         assert run_python(script) == "LOADED []"
         assert (tmp_path / "c.csv").exists()
 
     def test_noisy_sweep_leaves_scipy_special_unloaded(self, tmp_path):
-        # noise draws use a numpy port of Cephes ndtri, not scipy.special
+        # noise draws use the standard library's NormalDist, not scipy.special
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(SYNTH_CONFIG.replace("nonzero_rates", "noise_sigma = 0.1\nnonzero_rates"))
         # runs ``python -m structmc benchmark ...`` in the fresh interpreter
@@ -626,8 +662,9 @@ class TestTopLevel:
                 runpy.run_module("structmc", run_name="__main__", alter_sys=True)
             except SystemExit as exc:
                 assert exc.code == 0, exc.code
-            print("LOADED", [m for m in ("scipy.special", "scipy.optimize") if m in sys.modules])
+            print("LOADED", [m for m in ("scipy.special", "scipy.optimize", "statistics")
+                             if m in sys.modules])
         """)
-        assert run_python(script) == "LOADED []"
+        assert run_python(script) == "LOADED ['statistics']"
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["noise_sigma"] == 0.1

@@ -471,7 +471,8 @@ class TestResultsSerialization:
             TrialRecord((0.1, 0.9), 0, 0.01, 0.5, 1.0 / 3.0, 2.0 / 3.0, attempts=2, **common),
             TrialRecord((0.1, 0.9), 1, 0.1, nan, 0.0, 0.0, **common),
             TrialRecord((1.0, 0.0), 0, 1e-4, math.inf, 2.5, 0.0, **common),
-            TrialRecord((0.0, 0.0), 3, nan, nan, nan, nan, "", "", error="cell (0, 0): no draw"),
+            TrialRecord((0.0, 0.0), 3, nan, nan, nan, nan, "", "", attempts=None,
+                        error="cell (0, 0): no draw"),
         )
         result = GridResult(records, None, None, None, None)
         path = tmp_path / "results.csv"
@@ -483,7 +484,7 @@ class TestResultsSerialization:
             "converged,max-iters,2,",
             "0.1,0.9,1,0.1,0.0,0.0,,both-exact,converged,max-iters,1,",
             "1.0,0.0,0,0.0001,2.5,0.0,inf,inf,converged,max-iters,1,",
-            "0.0,0.0,3,,,,,failed,,,1,\"cell (0, 0): no draw\"",
+            "0.0,0.0,3,,,,,failed,,,,\"cell (0, 0): no draw\"",
             "",
         ]
 

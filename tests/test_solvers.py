@@ -178,6 +178,8 @@ class TestNnmReg:
                 continue
             base = solve(CompletionProblem(m, mask, "nnm-exact"), TIGHT)
             reg = solve(CompletionProblem(m, mask, "nnm-reg", alpha=0.1), TIGHT)
+            # the slowest solves, trial 3's, take 6,236 and 1,813 of the 20,000 iterations
+            assert base.status == reg.status == CONVERGED, trial
             err_base = frobenius_norm(base.completed - m)
             err_reg = frobenius_norm(reg.completed - m)
             assert err_reg <= err_base + 1e-6

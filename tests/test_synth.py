@@ -1,4 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -6,8 +12,10 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import structmc
 from structmc import (
     GeneratorSpec,
+    ObservationMask,
     SamplingSpec,
     add_noise,
     derive_seed,
@@ -17,7 +25,7 @@ from structmc import (
     stream,
 )
 from structmc.errors import InvalidSamplingError
-from structmc.synth import _ndtri, _normal_draws, _Stream
+from structmc.synth import _normal_draws, _Stream
 
 
 class TestStream:
@@ -131,6 +139,17 @@ def _grid_u(k):
     return (np.asarray(k, dtype=np.int64) + 0.5) * 2.0**-53
 
 
+class _FixedUniforms:
+    """A stream stand-in whose one ``random`` call returns ``values``."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values
+
+
 def _assert_bits_equal(a, b):
     assert a.dtype == b.dtype == np.float64
     mismatch = np.flatnonzero(a.view(np.int64) != b.view(np.int64))
@@ -138,25 +157,50 @@ def _assert_bits_equal(a, b):
 
 
 class TestNdtri:
-    """The numpy port of Cephes ndtri against scipy's compiled Cephes."""
+    """The inverse normal CDF of the noise draws against scipy's ``ndtri``."""
 
-    def test_matches_scipy_on_the_draw_grid(self):
-        k = np.random.default_rng(20240601).integers(0, 1 << 53, size=1_000_000, dtype=np.int64)
-        u = _grid_u(k)
-        _assert_bits_equal(_ndtri(u), scipy.special.ndtri(u))
-
-    def test_matches_scipy_at_both_ends_of_the_grid(self):
+    def test_agrees_with_scipy_on_the_grid_its_ends_and_branch_points(self):
         top = 1 << 53
-        k = np.concatenate([np.arange(5000), np.arange(top - 5001, top - 1)])
-        u = _grid_u(k)
-        _assert_bits_equal(_ndtri(u), scipy.special.ndtri(u))
+        k = np.concatenate([
+            np.random.default_rng(20240601).integers(0, top, size=1_000_000, dtype=np.int64),
+            np.arange(5000), np.arange(top - 5001, top - 1),
+        ])
+        # AS241 switches fits at |u - 0.5| = 0.425 and at -log(min(u, 1 - u)) = 25;
+        # Cephes, the reference, at exp(-2) and exp(-32) on each side
+        points = [0.075, 0.925, math.exp(-25), 1.0 - math.exp(-25),
+                  math.exp(-2), 1.0 - math.exp(-2), math.exp(-32), 1.0 - math.exp(-32)]
+        branch = [v for p in points for v in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0))]
+        z = np.concatenate([_normal_draws(_FixedUniforms(k * 2.0**-53), k.shape),
+                            [NormalDist().inv_cdf(u) for u in branch]])
+        ref = scipy.special.ndtri(np.concatenate([_grid_u(k), branch]))
+        np.testing.assert_allclose(z, ref, rtol=4e-15, atol=0.0)
 
-    def test_matches_scipy_at_the_branch_points(self):
-        # the centre fit ends at exp(-2) on each side, the two tail fits meet
-        # at z = 8, i.e. y = exp(-32)
-        points = [math.exp(-2), 1.0 - math.exp(-2), math.exp(-32)]
-        u = np.array([v for p in points for v in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0))])
-        _assert_bits_equal(_ndtri(u), scipy.special.ndtri(u))
+    def test_c_and_pure_python_statistics_agree_bit_for_bit(self):
+        pytest.importorskip("_statistics")
+        script = textwrap.dedent("""
+            import hashlib, sys
+            if sys.argv[1] == "python":
+                sys.modules["_statistics"] = None  # the pure-Python fallback
+            import numpy as np, statistics
+            from structmc.synth import _normal_draws
+
+            class Grid:
+                def random(self, size):
+                    k = np.random.default_rng(20240601).integers(0, 1 << 53, size=size)
+                    return k * 2.0**-53
+
+            z = _normal_draws(Grid(), (1_000_000,))
+            print(statistics._normal_dist_inv_cdf.__module__,
+                  hashlib.sha256(z.tobytes()).hexdigest())
+        """)
+        src = str(Path(structmc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            path for path in (src, os.environ.get("PYTHONPATH")) if path))
+        runs = [subprocess.run([sys.executable, "-c", script, side], env=env, check=True,
+                               capture_output=True, text=True, timeout=300).stdout.split()
+                for side in ("c", "python")]
+        assert [module for module, _ in runs] == ["_statistics", "statistics"]
+        assert runs[0][1] == runs[1][1]
 
     def test_half_offset_uniforms_round_as_the_grid(self):
         # random() gives k * 2^-53 exactly; adding 2^-54 must round as k + 0.5 does
@@ -166,15 +210,12 @@ class TestNdtri:
         _assert_bits_equal(k * 2.0**-53 + 2.0**-54, _grid_u(k))
 
     def test_normal_draws_stay_finite_at_the_top_of_the_grid(self):
-        class Stub:
-            def random(self, size):
-                assert size == 3
-                return np.array([0, (1 << 53) - 2, (1 << 53) - 1], dtype=np.int64) * 2.0**-53
-
-        z = _normal_draws(Stub(), (3,), 2.0)
+        k = np.array([0, (1 << 53) - 2, (1 << 53) - 1], dtype=np.int64)
+        z = _normal_draws(_FixedUniforms(k * 2.0**-53), (3,), 2.0)
         assert np.all(np.isfinite(z))
         # k = 2^53 - 1 gives u = 1.0 uncapped; the other two are unchanged
-        _assert_bits_equal(z[:2], 2.0 * scipy.special.ndtri(_grid_u([0, (1 << 53) - 2])))
+        inv_cdf = NormalDist().inv_cdf
+        _assert_bits_equal(z[:2], 2.0 * np.array([inv_cdf(u) for u in _grid_u(k[:2])]))
         assert z[2] > z[1] > 0.0
 
 
@@ -291,10 +332,17 @@ class TestAddNoise:
         mask = sample_structured_mask(m, SamplingSpec(0.3, 0.8, seed=61))
         np.testing.assert_array_equal(add_noise(m, 0.3, mask, 5), add_noise(m, 0.3, mask, 5))
 
+    def test_noise_stream_is_pinned(self):
+        # any change to the uniforms, their offset or the inverse CDF moves these bits
+        m = np.arange(6, dtype=np.float64).reshape(2, 3) * 0.25
+        out = add_noise(m, 0.1, ObservationMask.full(2, 3), seed=2024)
+        assert [v.hex() for v in out.ravel().tolist()] == [
+            "0x1.df717431b79c8p-5", "0x1.9db02e8d4c382p-3", "0x1.f133e4ba62c85p-2",
+            "0x1.8737bea7dcbcfp-1", "0x1.de5f429e2f90ep-1", "0x1.3dc36386f867ep+0",
+        ]
+
     def test_rejects_negative_sigma(self):
         m = np.ones((2, 2))
-        from structmc import ObservationMask
-
         with pytest.raises(ValueError):
             add_noise(m, -0.1, ObservationMask.full(2, 2), 0)
 
