@@ -159,21 +159,26 @@ def _assert_bits_equal(a, b):
 class TestNdtri:
     """The inverse normal CDF of the noise draws against scipy's ``ndtri``."""
 
-    def test_agrees_with_scipy_on_the_grid_its_ends_and_branch_points(self):
+    def _assert_grid_agrees(self, k):
+        z = _normal_draws(_FixedUniforms(k * 2.0**-53), k.shape)
+        np.testing.assert_allclose(z, scipy.special.ndtri(_grid_u(k)), rtol=4e-15, atol=0.0)
+
+    def test_matches_scipy_on_the_draw_grid(self):
+        k = np.random.default_rng(20240601).integers(0, 1 << 53, size=1_000_000, dtype=np.int64)
+        self._assert_grid_agrees(k)
+
+    def test_matches_scipy_at_both_ends_of_the_grid(self):
         top = 1 << 53
-        k = np.concatenate([
-            np.random.default_rng(20240601).integers(0, top, size=1_000_000, dtype=np.int64),
-            np.arange(5000), np.arange(top - 5001, top - 1),
-        ])
+        self._assert_grid_agrees(np.concatenate([np.arange(5000), np.arange(top - 5001, top - 1)]))
+
+    def test_matches_scipy_at_the_branch_points(self):
         # AS241 switches fits at |u - 0.5| = 0.425 and at -log(min(u, 1 - u)) = 25;
         # Cephes, the reference, at exp(-2) and exp(-32) on each side
         points = [0.075, 0.925, math.exp(-25), 1.0 - math.exp(-25),
                   math.exp(-2), 1.0 - math.exp(-2), math.exp(-32), 1.0 - math.exp(-32)]
-        branch = [v for p in points for v in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0))]
-        z = np.concatenate([_normal_draws(_FixedUniforms(k * 2.0**-53), k.shape),
-                            [NormalDist().inv_cdf(u) for u in branch]])
-        ref = scipy.special.ndtri(np.concatenate([_grid_u(k), branch]))
-        np.testing.assert_allclose(z, ref, rtol=4e-15, atol=0.0)
+        u = [v for p in points for v in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0))]
+        np.testing.assert_allclose([NormalDist().inv_cdf(v) for v in u], scipy.special.ndtri(u),
+                                   rtol=4e-15, atol=0.0)
 
     def test_c_and_pure_python_statistics_agree_bit_for_bit(self):
         pytest.importorskip("_statistics")
