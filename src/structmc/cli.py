@@ -219,14 +219,7 @@ def cmd_benchmark(args) -> int:
     manifest = {
         "kind": "synthetic" if config.matrix_path is None else "real",
         "config_file": os.path.abspath(args.config),
-        "base_seed": spec.base_seed,
-        "trials": spec.trials,
-        "noise_sigma": spec.noise_sigma,
-        "alphas": list(spec.alphas),
-        "zero_rates": list(spec.zero_rates),
-        "nonzero_rates": list(spec.nonzero_rates),
-        "row_subsample": spec.row_subsample,
-        "solver": dataclasses.asdict(spec.solver),
+        **dataclasses.asdict(spec),
         "records": len(result.records),
         "failed_trials": n_failed,
         "nonconverged_trials": n_nonconverged,

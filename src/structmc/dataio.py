@@ -14,6 +14,8 @@ File conventions
   byte-identical.
 
 Floats are serialized with :func:`repr`, which round-trips float64 exactly.
+Text files are read as UTF-8; a leading byte-order mark, as spreadsheet
+"CSV UTF-8" exports write, is skipped.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def _parse_matrix_cells(path, policy: str):
     """The cell loop: ``(matrix, observed)``, or the first bad cell's error."""
     rows: list[list[float]] = []
     observed: list[list[bool]] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for i, raw in enumerate(reader):
             if not raw:
@@ -212,7 +214,7 @@ def ingest_mask_csv(path, rows: int, cols: int) -> ObservationMask:
                     if np.count_nonzero(lookup) == i.size:  # no pair repeats
                         return ObservationMask(lookup.reshape(rows, cols))
     lookup = np.zeros((rows, cols), dtype=bool)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(csv.reader(fh)):
             if not raw:
                 continue
@@ -310,7 +312,7 @@ def load_config(path) -> BenchmarkConfig:
         inline_comment_prefixes=("#", ";"), interpolation=None, default_section=None
     )
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             cp.read_file(f)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
@@ -378,8 +380,23 @@ def write_heatmap_csv(path, zero_rates, nonzero_rates, table) -> None:
     )])
 
 
+def _json_value(value):
+    """``value`` with every non-finite float, which JSON cannot hold, made None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
 def write_manifest(path, payload: dict) -> None:
-    """JSON run manifest or solve diagnostics: sorted keys, two-space indent."""
+    """JSON run manifest or solve diagnostics: sorted keys, two-space indent.
+
+    A non-finite float (the residuals of a solve that failed early) is written
+    as ``null``, so the file stays standard JSON.
+    """
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_json_value(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

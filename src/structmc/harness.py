@@ -91,9 +91,6 @@ class _SweepSpec:
     base_seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
 
-    # synthetic truths are never row-subsampled; RealSweep makes this a field
-    row_subsample = None
-
     def __post_init__(self):
         object.__setattr__(self, "zero_rates", _as_rate_tuple(self.zero_rates, "zero_rates"))
         object.__setattr__(

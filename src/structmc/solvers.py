@@ -31,12 +31,14 @@ acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue &
 Boyd, SIAM J. Optim. 2020): a step may start at the extrapolated point
 F(x) - dF*gamma instead of F(x), with gamma the Tikhonov-regularized
 least-squares fit of the step residual g = F(x) - x by the differences dG of
-up to 8 past steps (``_ANDERSON_MEMORY``), or 3 in solves that take the warm
-svt step (``_ANDERSON_WARM_MEMORY``).  The extrapolated point is only ever a
-start: every iteration is one plain ADMM step, and the stopping test,
-residual balancing and the returned blocks see only step outputs, whose
-residuals certify them whatever the start, so the stopping rule and the
-exact observation match hold as without acceleration.
+up to 8 past steps (``_ANDERSON_MEMORY``), 3 in solves that take the warm svt
+step (``_ANDERSON_WARM_MEMORY``) and none in solves at least
+``_ANDERSON_OFF_MIN_DIM`` wide, where the history would be the largest buffer
+of the solve and mostly costs more time than it saves.  The extrapolated
+point is only ever a start: every iteration is one plain ADMM step, and the
+stopping test, residual balancing and the returned blocks see only step
+outputs, whose residuals certify them whatever the start, so the stopping
+rule and the exact observation match hold as without acceleration.
 When a step from an extrapolated start leaves a larger fixed-point residual
 ||(Z+ - Z, A - Z+)|| than the step before, the safeguard discards it: the
 next step starts from the plain point the extrapolation replaced and the
@@ -134,9 +136,20 @@ _RANK_REL_CUTOFF = 1e-6
 # _BALANCE_RATIO times the other, at most _MAX_PENALTY_CHANGES times per solve
 _BALANCE_RATIO, _BALANCE_FACTOR, _MAX_PENALTY_CHANGES = 10.0, 2.0, 20
 # Anderson acceleration extrapolates from this many past steps (0 turns it off),
-# at most _ANDERSON_WARM_MEMORY at or above the warm svt gate: below it 8 steps cut
-# sweep iterations by a sixth against 3, above it they cost memory and save nothing
+# at most _ANDERSON_WARM_MEMORY at or above the warm svt gate and none at or above
+# _ANDERSON_OFF_MIN_DIM: below the warm gate 8 steps cut sweep iterations by a sixth
+# against 3, above it 8 cost memory and save nothing
 _ANDERSON_MEMORY, _ANDERSON_WARM_MEMORY = 8, 3
+# solves with min(n1, n2) at or above this keep no history, which there is the
+# largest buffer a solve holds (12 times the data); whole n x n solves of all five
+# modes on four families (large rank 5/10/20, the complete-large recipe at another
+# seed / rank4 / trend, 10% and 90% of zeros observed), CPU time without the history
+# over with 3 steps, one BLAS thread, median of 2-5 passes of 5-9 reps:
+# n = 125 0.80/0.84/1.27/1.15/0.98/0.97, 150 1.01/0.99/0.96/1.10/0.82/0.71,
+# 175 0.90/0.86/0.98/1.03/0.87/0.70, 200 0.81/0.94/0.87/0.99/0.86/0.73, so from 175
+# on the median wins and no instance is 10% slower; a rank-5 truth observed 30% at
+# random still reads 1.43, 1.23 and 1.21 at 150, 175 and 200
+_ANDERSON_OFF_MIN_DIM = 175
 # Tikhonov weight of the Anderson least squares, relative to its Gram trace
 _ANDERSON_REG = 1e-5
 # solves with min(n1, n2) at or above this take the warm svt step; whole n x n
@@ -189,8 +202,9 @@ class SolverConfig:
     ``admm_penalty`` and is adapted by residual balancing (x2 / /2 when one
     residual exceeds 10x the other) at most ``_MAX_PENALTY_CHANGES`` (20)
     times per solve; after that it stays fixed.  Anderson acceleration (8
-    steps, 3 from the warm svt gate) is always on and has no field here; it
-    changes where a solve starts its steps, not what the tolerances certify.
+    steps, 3 from the warm svt gate, none from 175 wide) has no field here;
+    it changes where a solve starts its steps, not what the tolerances
+    certify.
     """
 
     max_iters: int = 5000
@@ -433,7 +447,10 @@ def solve(
         u = np.zeros_like(z)
         pen = cfg.admm_penalty
     ptol, dtol = _tolerances(cfg, problem.shape)
-    memory = min(_ANDERSON_MEMORY, _ANDERSON_WARM_MEMORY) if warm else _ANDERSON_MEMORY
+    if min(problem.shape) >= _ANDERSON_OFF_MIN_DIM:
+        memory = 0
+    else:
+        memory = min(_ANDERSON_MEMORY, _ANDERSON_WARM_MEMORY) if warm else _ANDERSON_MEMORY
     anderson = _Anderson(memory, problem.shape)
     # the step's output (Z+, U+) and the point the next step starts from:
     # the output or an extrapolation of it

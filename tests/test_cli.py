@@ -276,6 +276,24 @@ class TestComplete:
         )
         assert code == 4
 
+    def test_diagnostics_of_an_early_failure_are_standard_json(self, tmp_path):
+        # the svt's Gram matrix overflows in the first step, so the residuals
+        # are never computed and stay infinite
+        src = tmp_path / "m.csv"
+        src.write_text("1e300,1e300,1e300\n1e300,1e300,1e300\n1e300,1e300,\n")
+        code = run_cli(
+            "complete", "--input", str(src), "--infer-mask",
+            "--mode", "nnm-exact", "--output", str(tmp_path / "o.csv"),
+        )
+        assert code == 4
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        diag = json.loads((tmp_path / "o.csv.diag.json").read_text(), parse_constant=reject)
+        assert diag["status"] == "numerical-failure"
+        assert diag["primal_residual"] is None and diag["dual_residual"] is None
+
 
 class TestGenerate:
     def test_deterministic_files(self, tmp_path):
@@ -370,6 +388,7 @@ class TestBenchmark:
         assert (outdir / "results.csv").exists()
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["kind"] == "real"
+        assert manifest["row_subsample"] == 4
 
     def test_percent_in_matrix_name(self, tmp_path):
         # values are literal: configparser's % interpolation would reject "a%b"
@@ -414,6 +433,17 @@ class TestBenchmark:
         assert run_cli("benchmark", "--config", str(cfg), "--outdir", str(outdir)) == 0
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["solver"] == dict(dataclasses.asdict(SolverConfig()), primal_tol=1e-8)
+
+    def test_manifest_records_the_generator(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(SYNTH_CONFIG)
+        outdir = tmp_path / "out"
+        assert run_cli("benchmark", "--config", str(cfg), "--outdir", str(outdir)) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        # SYNTH_CONFIG's [generator]; the truths' seeds come from base_seed
+        assert manifest["generator"] == {"n1": 10, "n2": 10, "rank": 2, "density_left": 0.4,
+                                         "density_right": 0.6, "seed": 0}
+        assert "row_subsample" not in manifest
 
     def test_nonconverged_trials_reported(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"

@@ -110,6 +110,14 @@ class TestMatrixCsv:
         with pytest.raises(CsvParseError):
             ingest_matrix_csv(path, policy="mask")
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start the file with one
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,\n")
+        matrix, mask = ingest_matrix_csv(path, policy="mask")
+        np.testing.assert_array_equal(matrix, [[1.0, 2.0], [3.0, 0.0]])
+        assert mask == mask_of((2, 2), [(0, 0), (0, 1), (1, 0)])
+
     def test_ingest_single_column_quoted_hole(self, tmp_path):
         # as csv writes a one-cell row that is empty: a blank line is no row at all
         path = tmp_path / "column.csv"
@@ -198,6 +206,11 @@ class TestMaskCsv:
         path.write_text("5,0\n")
         with pytest.raises(CsvParseError):
             ingest_mask_csv(path, 2, 2)
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "mask.csv"
+        path.write_bytes(b"\xef\xbb\xbf0,0\n1,1\n")
+        assert ingest_mask_csv(path, 2, 2) == mask_of((2, 2), [(0, 0), (1, 1)])
 
     @pytest.mark.parametrize("text,message", [
         ("0,0\n1,1\n0,0\n9,9\n", "duplicate index pair (0, 0)"),
@@ -293,6 +306,13 @@ class TestConfig:
         assert grid.generator.rank == 2
         assert grid.solver.max_iters == 2000
         assert grid.solver.primal_tol == 1e-6  # default preserved
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + SYNTH_CONFIG.lstrip().encode())
+        plain = tmp_path / "plain.ini"
+        plain.write_text(SYNTH_CONFIG)
+        assert load_config(path) == load_config(plain)
 
     def test_real_config(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -509,6 +529,17 @@ class TestResultsSerialization:
         write_manifest(path, {"b": 2, "a": [1, 2]})
         loaded = json.loads(path.read_text())
         assert loaded == {"a": [1, 2], "b": 2}
+
+    def test_manifest_non_finite_floats_are_null(self, tmp_path):
+        # JSON has no NaN or Infinity; a strict reader must accept the file
+        path = tmp_path / "manifest.json"
+        write_manifest(path, {"r": math.inf, "s": [-math.inf, 1.5], "t": {"u": math.nan}})
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        loaded = json.loads(path.read_text(), parse_constant=reject)
+        assert loaded == {"r": None, "s": [None, 1.5], "t": {"u": None}}
 
 
 class TestFmtFloat:

@@ -456,9 +456,12 @@ class TestAnderson:
         assert all(r.status == CONVERGED for r in results)
         assert all(r.accelerated_steps == r.rejected_steps == 0 for r in results)
 
-    @pytest.mark.parametrize("size,longest", [(30, 8), ("gate", 3)])
+    @pytest.mark.parametrize("size,longest", [
+        (30, 8), ("gate", 3), ("below_off", 3), ("off", 0),
+    ])
     def test_history_is_shorter_at_the_gate(self, monkeypatch, size, longest):
-        # below the warm svt gate the history holds 8 steps, at or above it 3
+        # below the warm svt gate the history holds 8 steps, from it 3, and
+        # from _ANDERSON_OFF_MIN_DIM none
         import structmc.solvers as solvers_mod
 
         lengths = []
@@ -469,11 +472,15 @@ class TestAnderson:
                 lengths.append(self.count)
 
         monkeypatch.setattr(solvers_mod, "_Anderson", Spy)
-        n = solvers_mod._WARM_SVT_MIN_DIM if size == "gate" else size
+        n = {"gate": solvers_mod._WARM_SVT_MIN_DIM,
+             "below_off": solvers_mod._ANDERSON_OFF_MIN_DIM - 1,
+             "off": solvers_mod._ANDERSON_OFF_MIN_DIM}.get(size, size)
         m, mask = _random_problem(27, shape=(n, n))
         res = solve(CompletionProblem(m, mask, "nnm-exact"))
         assert res.status == CONVERGED
         assert max(lengths) == longest
+        if longest == 0:
+            assert res.accelerated_steps == res.rejected_steps == 0
 
     def test_acceleration_cuts_iterations(self):
         results = {f: solve(p) for f, p in _rank4_problems((30, 30))}
