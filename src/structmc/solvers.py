@@ -31,10 +31,9 @@ acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue &
 Boyd, SIAM J. Optim. 2020): a step may start at the extrapolated point
 F(x) - dF*gamma instead of F(x), with gamma the Tikhonov-regularized
 least-squares fit of the step residual g = F(x) - x by the differences dG of
-up to 8 past steps (``_ANDERSON_MEMORY``), 3 in solves that take the warm svt
-step (``_ANDERSON_WARM_MEMORY``) and none in solves at least
-``_ANDERSON_OFF_MIN_DIM`` wide, where the history would be the largest buffer
-of the solve and mostly costs more time than it saves.  The extrapolated
+up to 8 past steps (``_ANDERSON_MEMORY``), or 3 in solves that take the warm
+svt step (``_ANDERSON_WARM_MEMORY``), which keep them in single precision:
+there the history is the largest buffer of the solve.  The extrapolated
 point is only ever a start: every iteration is one plain ADMM step, and the
 stopping test, residual balancing and the returned blocks see only step
 outputs, whose residuals certify them whatever the start, so the stopping
@@ -136,20 +135,14 @@ _RANK_REL_CUTOFF = 1e-6
 # _BALANCE_RATIO times the other, at most _MAX_PENALTY_CHANGES times per solve
 _BALANCE_RATIO, _BALANCE_FACTOR, _MAX_PENALTY_CHANGES = 10.0, 2.0, 20
 # Anderson acceleration extrapolates from this many past steps (0 turns it off),
-# at most _ANDERSON_WARM_MEMORY at or above the warm svt gate and none at or above
-# _ANDERSON_OFF_MIN_DIM: below the warm gate 8 steps cut sweep iterations by a sixth
-# against 3, above it 8 cost memory and save nothing
+# at most _ANDERSON_WARM_MEMORY at or above the warm svt gate: below it 8 steps cut
+# sweep iterations by a sixth against 3, above it they cost memory and save nothing.
+# From the warm gate the history, 12 times the data in double and the largest buffer
+# of the solve, is kept in single precision: it only picks where a step starts, and
+# whole n x n solves of all five modes on seven families (n = 40-200, large rank
+# 5/10/20, rank4, trend at 10%/90% of zeros, rank 5 observed 30% at random) took
+# the same iterations to within 3%
 _ANDERSON_MEMORY, _ANDERSON_WARM_MEMORY = 8, 3
-# solves with min(n1, n2) at or above this keep no history, which there is the
-# largest buffer a solve holds (12 times the data); whole n x n solves of all five
-# modes on four families (large rank 5/10/20, the complete-large recipe at another
-# seed / rank4 / trend, 10% and 90% of zeros observed), CPU time without the history
-# over with 3 steps, one BLAS thread, median of 2-5 passes of 5-9 reps:
-# n = 125 0.80/0.84/1.27/1.15/0.98/0.97, 150 1.01/0.99/0.96/1.10/0.82/0.71,
-# 175 0.90/0.86/0.98/1.03/0.87/0.70, 200 0.81/0.94/0.87/0.99/0.86/0.73, so from 175
-# on the median wins and no instance is 10% slower; a rank-5 truth observed 30% at
-# random still reads 1.43, 1.23 and 1.21 at 150, 175 and 200
-_ANDERSON_OFF_MIN_DIM = 175
 # Tikhonov weight of the Anderson least squares, relative to its Gram trace
 _ANDERSON_REG = 1e-5
 # solves with min(n1, n2) at or above this take the warm svt step; whole n x n
@@ -202,9 +195,8 @@ class SolverConfig:
     ``admm_penalty`` and is adapted by residual balancing (x2 / /2 when one
     residual exceeds 10x the other) at most ``_MAX_PENALTY_CHANGES`` (20)
     times per solve; after that it stays fixed.  Anderson acceleration (8
-    steps, 3 from the warm svt gate, none from 175 wide) has no field here;
-    it changes where a solve starts its steps, not what the tolerances
-    certify.
+    steps, 3 from the warm svt gate) is always on and has no field here; it
+    changes where a solve starts its steps, not what the tolerances certify.
     """
 
     max_iters: int = 5000
@@ -362,16 +354,17 @@ class _Anderson:
 
     x, the step outputs f = F(x) and the step residuals g = f - x are each
     one (2, n1, n2) array.  Up to ``memory`` differences of f and of g sit in
-    preallocated buffers, and the Gram matrix of the residual differences
-    gains one row and column per step.  The memory restarts once full (Zhang,
-    O'Donoghue & Boyd 2020): a rolling window carries rounding differences
-    much further, so that the Gram and SVD routes of svt ended a 120x120
-    rpca-restricted solve 3e-9 apart, against 6e-11 restarted.
+    preallocated buffers of ``dtype``, and the double-precision Gram matrix
+    of the residual differences gains one row and column per step.  The
+    memory restarts once full (Zhang, O'Donoghue & Boyd 2020): a rolling
+    window carries rounding differences much further, so that the Gram and
+    SVD routes of svt ended a 120x120 rpca-restricted solve 3e-9 apart,
+    against 6e-11 restarted.
     """
 
-    def __init__(self, memory: int, shape):
+    def __init__(self, memory: int, shape, dtype):
         self.memory = memory
-        self.df = np.empty((memory, 2 * shape[0] * shape[1]))
+        self.df = np.empty((memory, 2 * shape[0] * shape[1]), dtype)
         self.dg = np.empty_like(self.df)
         self.gram = np.empty((memory, memory))
         self.eye = np.eye(memory)
@@ -407,9 +400,14 @@ class _Anderson:
         if not 0.0 < reg < math.inf:  # no differences, or a non-finite step
             return None
         f, g = self.last
+        # the vectors take the history's dtype, so that no double copy of it is made
+        dt = self.df.dtype
         # positive definite: the Gram matrix is semidefinite and reg > 0
-        gamma = _solve(self.gram[:k, :k] + reg * self.eye[:k, :k], self.dg[:k] @ g.reshape(-1))
-        return f - (gamma @ self.df[:k]).reshape(f.shape)
+        gamma = _solve(
+            self.gram[:k, :k] + reg * self.eye[:k, :k],
+            self.dg[:k] @ g.reshape(-1).astype(dt, copy=False),
+        )
+        return f - (gamma.astype(dt, copy=False) @ self.df[:k]).reshape(f.shape)
 
 
 def solve(
@@ -447,11 +445,8 @@ def solve(
         u = np.zeros_like(z)
         pen = cfg.admm_penalty
     ptol, dtol = _tolerances(cfg, problem.shape)
-    if min(problem.shape) >= _ANDERSON_OFF_MIN_DIM:
-        memory = 0
-    else:
-        memory = min(_ANDERSON_MEMORY, _ANDERSON_WARM_MEMORY) if warm else _ANDERSON_MEMORY
-    anderson = _Anderson(memory, problem.shape)
+    memory = min(_ANDERSON_MEMORY, _ANDERSON_WARM_MEMORY) if warm else _ANDERSON_MEMORY
+    anderson = _Anderson(memory, problem.shape, np.float32 if warm else np.float64)
     # the step's output (Z+, U+) and the point the next step starts from:
     # the output or an extrapolation of it
     f = x = np.stack((z, u))
