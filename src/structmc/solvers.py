@@ -137,11 +137,10 @@ _BALANCE_RATIO, _BALANCE_FACTOR, _MAX_PENALTY_CHANGES = 10.0, 2.0, 20
 # Anderson acceleration extrapolates from this many past steps (0 turns it off),
 # at most _ANDERSON_WARM_MEMORY at or above the warm svt gate: below it 8 steps cut
 # sweep iterations by a sixth against 3, above it they cost memory and save nothing.
-# From the warm gate the history, 12 times the data in double and the largest buffer
-# of the solve, is kept in single precision: it only picks where a step starts, and
-# whole n x n solves of all five modes on seven families (n = 40-200, large rank
-# 5/10/20, rank4, trend at 10%/90% of zeros, rank 5 observed 30% at random) took
-# the same iterations to within 3%
+# From the warm gate the history (12 times the data) is kept in single precision:
+# it is only a start, and whole n x n solves of all five modes on seven families
+# (n = 40-200, large rank 5/10/20, rank4, trend at 10%/90% of zeros, rank 5 observed
+# 30% at random) took the same iterations to within 3%
 _ANDERSON_MEMORY, _ANDERSON_WARM_MEMORY = 8, 3
 # Tikhonov weight of the Anderson least squares, relative to its Gram trace
 _ANDERSON_REG = 1e-5
