@@ -216,10 +216,14 @@ def cmd_benchmark(args) -> int:
         1 for r in result.records
         if r.error is None and (r.status_baseline, r.status_reg) != (CONVERGED, CONVERGED)
     )
+    spec_fields = dataclasses.asdict(spec)
+    if "generator" in spec_fields:
+        # each truth's seed derives from base_seed (harness.run_cell), not this one
+        spec_fields["generator"]["seed"] = None
     manifest = {
         "kind": "synthetic" if config.matrix_path is None else "real",
         "config_file": os.path.abspath(args.config),
-        **dataclasses.asdict(spec),
+        **spec_fields,
         "records": len(result.records),
         "failed_trials": n_failed,
         "nonconverged_trials": n_nonconverged,

@@ -88,10 +88,12 @@ def emit_matrix_csv(path, m) -> None:
     """Write a matrix as headerless CSV, the bytes of :func:`_write_rows`.
 
     Float cells need no quoting, so each row is its cells joined by commas.
+    Rows become Python floats one at a time, so the write holds one row's
+    floats, not the whole matrix's.
     """
     m = np.asarray(m, dtype=np.float64)
     with open(path, "w", newline="") as fh:
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in m.tolist())
+        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in m)
 
 
 def ingest_matrix_csv(path, policy: str = "strict"):
