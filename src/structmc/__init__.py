@@ -6,55 +6,17 @@ fits, and a restricted-support low-rank + sparse decomposition), all
 solved by ADMM with closed-form proximal steps, plus seeded synthetic data
 generation and a benchmark harness that sweeps zero/nonzero sampling rates
 and reports error ratios against the plain nuclear-norm baseline.
-
-``import structmc`` loads no submodule and no numpy: the first public name
-asked of the package loads all of its modules (PEP 562), so that
-``python -m structmc`` can choose the BLAS thread count before numpy loads.
 """
 
-import os
+from . import harness, matrix, metrics, prox, solvers, synth
+from .harness import *  # noqa: F403
+from .matrix import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .prox import *  # noqa: F403
+from .solvers import *  # noqa: F403
+from .synth import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# in the order of __all__
-_MODULES = ("matrix", "prox", "solvers", "synth", "metrics", "harness")
-
-# BLAS thread-count variables that _one_blas_thread sets
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _one_blas_thread() -> tuple[str, ...]:
-    """Set both BLAS thread-count variables to "1" if neither is set; the names set.
-
-    A process that loads numpy after this runs OpenBLAS on one thread.  Its
-    default second thread spins through each small ``eigh`` and doubles the
-    CPU time of a serial solve, and the default threads of several processes
-    on shared cores wait on each other.  A caller who set either variable
-    chose the thread count, and both stay as they are: OpenBLAS reads
-    ``OPENBLAS_NUM_THREADS`` before ``OMP_NUM_THREADS``, so a 1 in the first
-    would override the caller's second.
-    """
-    if any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
-        return ()
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
-    return _BLAS_THREAD_VARIABLES
-
-
-def _load_all() -> None:
-    """Import every module and bind its public names and ``__all__`` here."""
-    from importlib import import_module
-
-    names = ["__version__"]
-    for module in (import_module(f".{m}", __name__) for m in _MODULES):
-        globals().update({name: getattr(module, name) for name in module.__all__})
-        names += module.__all__
-    globals()["__all__"] = names
-
-
-def __getattr__(name):
-    # called only for a name not bound yet
-    if name == "__all__" or not name.startswith("_"):
-        _load_all()
-        if name in globals():
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["__version__", *matrix.__all__, *prox.__all__, *solvers.__all__, *synth.__all__,
+           *metrics.__all__, *harness.__all__]

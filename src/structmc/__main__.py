@@ -1,20 +1,5 @@
-"""``python -m structmc`` and the installed ``structmc`` script.
-
-The BLAS thread rule of :func:`structmc._one_blas_thread` runs before the
-CLI, and with it numpy, is imported.
-"""
-
 import sys
 
-from . import _one_blas_thread
+from .cli import main
 
-
-def main() -> int:
-    _one_blas_thread()
-    from .cli import main as cli_main
-
-    return cli_main()
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+sys.exit(main())

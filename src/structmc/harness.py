@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _BLAS_THREAD_VARIABLES as _WORKER_BLAS_THREADS, _one_blas_thread  # noqa: F401
 from .errors import CellError, InvalidSamplingError
 from .matrix import as_matrix, frobenius_norm
 from .metrics import ratio_from_errors
@@ -278,21 +277,30 @@ class GridResult:
     failures: np.ndarray
 
 
+# BLAS thread-count variables that sweep workers get as 1 when none is set
+_WORKER_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 @contextlib.contextmanager
 def _one_blas_thread_per_process():
-    """Apply :func:`structmc._one_blas_thread` and unset what it set on exit.
+    """Set both BLAS thread-count variables to 1 if neither is set, restore on exit.
 
-    The workers of a sweep already fill the cores, and default BLAS threads
-    of several processes on shared cores wait on each other: ``eigh`` of a
+    The workers of a sweep already fill the cores.  Default BLAS threads of
+    several processes on shared cores wait on each other: ``eigh`` of a
     30x30 Gram matrix, as in svt, took 1.8-9.5 ms in each of two processes on
     two cores against 0.15 ms in one process.  Workers are spawned, not
-    forked, so that each reads these variables when it loads numpy.
+    forked, so that each reads these variables when it loads numpy.  A caller
+    who set either variable chose the thread count, and both stay as they
+    are: OpenBLAS reads ``OPENBLAS_NUM_THREADS`` before ``OMP_NUM_THREADS``,
+    so a 1 in the first would override the caller's second.
     """
-    set_here = _one_blas_thread()
+    caller_set = any(name in os.environ for name in _WORKER_BLAS_THREADS)
+    unset = () if caller_set else _WORKER_BLAS_THREADS
+    os.environ.update(dict.fromkeys(unset, "1"))
     try:
         yield
     finally:
-        for name in set_here:
+        for name in unset:
             os.environ.pop(name, None)
 
 

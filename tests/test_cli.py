@@ -699,105 +699,3 @@ class TestTopLevel:
         assert run_python(script) == "LOADED ['statistics']"
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["noise_sigma"] == 0.1
-
-
-BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-# after ``caller`` sets its variables, runs ``entry`` in this interpreter, then
-# prints both variables and the thread count of numpy's OpenBLAS (None when
-# the library has no such symbol)
-ENTRY_SCRIPT = """
-import ctypes, glob, json, os, runpy, sys
-for name in {variables!r}:
-    os.environ.pop(name, None)
-os.environ.update({caller!r})
-sys.argv = ["structmc", "--version"]
-{entry}
-import numpy
-libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
-                              "numpy.libs", "libscipy_openblas*"))
-get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None) if libs else None
-if get is not None:
-    get.argtypes, get.restype = [], ctypes.c_int
-print(json.dumps([[os.environ.get(name) for name in {variables!r}], get and get()]))
-"""
-
-RUN_MODULE = """
-try:
-    runpy.run_module("structmc", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    assert exc.code == 0, exc.code
-"""
-
-
-def run_entry(entry, caller=None):
-    """``([OPENBLAS_NUM_THREADS, OMP_NUM_THREADS], OpenBLAS threads)`` after ``entry``."""
-    script = ENTRY_SCRIPT.format(variables=BLAS_VARIABLES, caller=caller or {}, entry=entry)
-    return json.loads(run_python(script))
-
-
-class TestPackageEntry:
-    def test_import_loads_no_numpy_and_sets_no_variable(self):
-        script = ("import os, sys; before = dict(os.environ); import structmc; "
-                  "print('LOADED', sorted(m for m in sys.modules if m.split('.')[0] in "
-                  "('numpy', 'scipy') or m.startswith('structmc.')), os.environ == before)")
-        assert run_python(script) == "LOADED [] True"
-
-    @pytest.mark.parametrize("access", [
-        "__all__", "*", "matrix", "prox", "solvers", "synth", "metrics", "harness"])
-    def test_first_public_name_loads_every_module(self, access):
-        # the names and objects of the package's former eager imports
-        script = textwrap.dedent(f"""
-            import sys, structmc
-            lazy = "structmc.matrix" not in sys.modules
-            if {access!r} == "*":
-                namespace = {{}}
-                exec("from structmc import *", namespace)
-                del namespace["__builtins__"]
-            else:
-                got = getattr(structmc, {access!r})
-            from structmc import matrix, prox, solvers, synth, metrics, harness
-            modules = (matrix, prox, solvers, synth, metrics, harness)
-            names = ["__version__", *(name for m in modules for name in m.__all__)]
-            objects = dict({{name: getattr(m, name) for m in modules for name in m.__all__}},
-                           __version__=structmc.__version__)
-            if {access!r} == "__all__":
-                assert got == names, got
-            elif {access!r} == "*":
-                assert namespace == objects and list(namespace) == names
-            else:
-                assert got is sys.modules["structmc." + {access!r}]
-            assert all(getattr(structmc, name) is obj for name, obj in objects.items())
-            assert all(getattr(structmc, m.__name__.split(".")[1]) is m for m in modules)
-            print("LAZY", lazy)
-        """)
-        assert run_python(script) == "LAZY True"
-
-    def test_python_m_sets_one_blas_thread(self):
-        variables, threads = run_entry(RUN_MODULE)
-        assert variables == ["1", "1"]
-        if threads is None:
-            pytest.skip("numpy's OpenBLAS does not report its thread count")
-        assert threads == 1
-
-    @pytest.mark.parametrize("kept", BLAS_VARIABLES)
-    def test_python_m_keeps_a_caller_thread_variable(self, kept):
-        # OpenBLAS reads OPENBLAS_NUM_THREADS first, so a 1 there would
-        # override a caller's OMP_NUM_THREADS=2
-        variables, _ = run_entry(RUN_MODULE, {kept: "2"})
-        assert variables == ["2" if name == kept else None for name in BLAS_VARIABLES]
-
-    def test_installed_script_sets_one_blas_thread(self):
-        # the console script named in pyproject.toml, called as its wrapper calls it
-        pytest.importorskip("tomllib")
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        entry = textwrap.dedent(f"""
-            import importlib, tomllib
-            with open({str(pyproject)!r}, "rb") as fh:
-                target = tomllib.load(fh)["project"]["scripts"]["structmc"]
-            module, _, function = target.partition(":")
-            assert getattr(importlib.import_module(module), function)() == 0
-        """)
-        variables, threads = run_entry(entry)
-        assert variables == ["1", "1"]
-        assert threads in (None, 1)
