@@ -27,7 +27,7 @@ from .dataio import (
     write_manifest,
     write_results_csv,
 )
-from .errors import NumericalError, UsageError
+from .errors import UsageError
 from .harness import run_grid, run_real_matrix
 from .solvers import (
     CONVERGED,
@@ -188,15 +188,11 @@ def cmd_generate(args) -> int:
 def cmd_benchmark(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    config = load_config(args.config)
-    spec = config.spec
-    if config.matrix_path is not None:
-        matrix, _ = ingest_matrix_csv(config.matrix_path, policy="strict")
+    spec, matrix_path = load_config(args.config)
+    matrix = None if matrix_path is None else ingest_matrix_csv(matrix_path, policy="strict")[0]
     started = time.monotonic()
-    if config.matrix_path is None:
-        result = run_grid(spec, workers=args.workers)
-    else:
-        result = run_real_matrix(matrix, spec, workers=args.workers)
+    result = (run_grid(spec, workers=args.workers) if matrix is None
+              else run_real_matrix(matrix, spec, workers=args.workers))
     wall = time.monotonic() - started
     # made once the sweep returns, so that a sweep that fails its checks leaves no directory
     os.makedirs(args.outdir, exist_ok=True)
@@ -217,11 +213,13 @@ def cmd_benchmark(args) -> int:
         if r.error is None and (r.status_baseline, r.status_reg) != (CONVERGED, CONVERGED)
     )
     spec_fields = dataclasses.asdict(spec)
-    if "generator" in spec_fields:
+    if matrix_path is None:
         # each truth's seed derives from base_seed (harness.run_cell), not this one
         spec_fields["generator"]["seed"] = None
+    else:
+        spec_fields["matrix_file"] = matrix_path
     manifest = {
-        "kind": "synthetic" if config.matrix_path is None else "real",
+        "kind": "synthetic" if matrix_path is None else "real",
         "config_file": os.path.abspath(args.config),
         **spec_fields,
         "records": len(result.records),
@@ -312,9 +310,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except OSError as exc:  # a file that cannot be read or written
         print(f"data error: {exc.filename}: {exc.strerror}" if exc.filename is not None
               else f"data error: {exc}", file=sys.stderr)

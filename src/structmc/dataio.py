@@ -23,11 +23,12 @@ from __future__ import annotations
 import configparser
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import re
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING
 
 import numpy as np
 
@@ -43,7 +44,6 @@ __all__ = [
     "ingest_matrix_csv",
     "emit_mask_csv",
     "ingest_mask_csv",
-    "BenchmarkConfig",
     "load_config",
     "write_results_csv",
     "write_heatmap_csv",
@@ -116,6 +116,17 @@ def ingest_matrix_csv(path, policy: str = "strict"):
     return matrix, ObservationMask(observed)
 
 
+def _text(path, error=ValueError):
+    """A UTF-8 file, after any byte-order mark, as a text stream; decoded whole, so
+    a bad byte is named by its file offset, not by its offset in an 8 KB chunk."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode().removeprefix("\ufeff"), newline="")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def _parse_plain_matrix(path):
     """``(matrix, observed)`` of a file whose cells are decimal numbers or empty; else None.
 
@@ -152,7 +163,7 @@ def _parse_matrix_cells(path, policy: str):
     """The cell loop: ``(matrix, observed)``, or the first bad cell's error."""
     rows: list[list[float]] = []
     observed: list[list[bool]] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _text(path) as fh:
         reader = csv.reader(fh)
         for i, raw in enumerate(reader):
             if not raw:
@@ -216,7 +227,7 @@ def ingest_mask_csv(path, rows: int, cols: int) -> ObservationMask:
                     if np.count_nonzero(lookup) == i.size:  # no pair repeats
                         return ObservationMask(lookup.reshape(rows, cols))
     lookup = np.zeros((rows, cols), dtype=bool)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _text(path) as fh:
         for line_no, raw in enumerate(csv.reader(fh)):
             if not raw:
                 continue
@@ -245,14 +256,6 @@ _PLAIN_PAIRS = re.compile(rb"(?:[0-9]{1,18},[0-9]{1,18}\n)+")
 # ---------------------------------------------------------------------------
 # benchmark config
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchmarkConfig:
-    """A synthetic grid, or a sweep of the ground truth at ``matrix_path``."""
-
-    spec: ExperimentGrid | RealSweep
-    matrix_path: str | None = None  # None for a synthetic grid
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -305,8 +308,8 @@ def _section(cp, name: str) -> dict:
     return values
 
 
-def load_config(path) -> BenchmarkConfig:
-    """Parse a benchmark config document into a typed configuration.
+def load_config(path):
+    """Parse a benchmark config into ``(spec, matrix_path)``; a synthetic grid's path is None.
 
     Values are read literally: no ``%`` interpolation, no ``[DEFAULT]`` section.
     """
@@ -314,12 +317,9 @@ def load_config(path) -> BenchmarkConfig:
         inline_comment_prefixes=("#", ";"), interpolation=None, default_section=None
     )
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            cp.read_file(f)
+        cp.read_file(_text(path, ConfigError), source=str(path))
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     for section in cp.sections():
@@ -344,10 +344,9 @@ def load_config(path) -> BenchmarkConfig:
     try:
         if kind == "synthetic":
             generator = GeneratorSpec(*values.values())
-            return BenchmarkConfig(ExperimentGrid(generator=generator, **common))
+            return ExperimentGrid(generator=generator, **common), None
         matrix_path = os.path.join(os.path.dirname(os.path.abspath(path)), values["matrix"])
-        return BenchmarkConfig(RealSweep(row_subsample=values["row_subsample"], **common),
-                               matrix_path)
+        return RealSweep(row_subsample=values["row_subsample"], **common), matrix_path
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

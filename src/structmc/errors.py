@@ -35,23 +35,5 @@ class ConfigError(StructmcError, ValueError):
     """Benchmark config violation; messages carry section.key paths."""
 
 
-class CellError(StructmcError, RuntimeError):
-    """A benchmark grid cell failed hard, with its coordinates attached."""
-
-    def __init__(self, cell, trial_index, message):
-        self.cell = cell
-        self.trial_index = trial_index
-        self.message = message
-        super().__init__(
-            f"cell (rate_zero={cell[0]}, rate_nonzero={cell[1]}), "
-            f"trial {trial_index}: {message}"
-        )
-
-    def __reduce__(self):
-        # rebuilt from the constructor's arguments, so that it can leave a
-        # sweep worker: unpickling calls the class with ``args``, one string
-        return type(self), (self.cell, self.trial_index, self.message)
-
-
 class UsageError(StructmcError, ValueError):
     """Invalid CLI flag combination."""

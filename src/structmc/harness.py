@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CellError, InvalidSamplingError
+from .errors import InvalidSamplingError
 from .matrix import as_matrix, frobenius_norm
 from .metrics import ratio_from_errors
 from .solvers import CompletionProblem, SolverConfig, _tolerances, solve
@@ -232,11 +232,7 @@ def _run_trial(spec, cell, trial_index, draw_truth) -> TrialRecord:
             continue
         break
     else:
-        raise CellError(
-            (rate_zero, rate_nonzero),
-            trial_index,
-            f"degenerate draws exhausted {_MAX_REDRAWS} attempts",
-        )
+        raise ValueError(f"degenerate draws exhausted {_MAX_REDRAWS} attempts")
     if spec.noise_sigma > 0:
         observed = add_noise(truth, spec.noise_sigma, mask, seed_of("noise", attempt))
     else:

@@ -37,12 +37,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_python(script):
-    """Run ``script`` in a fresh interpreter on this checkout; its last stdout line."""
+def run_python(script, *args, **env):
+    """Run ``script`` with ``args`` in a fresh interpreter on this checkout,
+    ``env`` added to its environment; its last stdout line."""
     src = str(Path(structmc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         path for path in (src, os.environ.get("PYTHONPATH")) if path))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
@@ -349,6 +350,7 @@ class TestBenchmark:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["records"] == 1
         assert manifest["kind"] == "synthetic"
+        assert "matrix_file" not in manifest
         heat = (outdir / "heatmap_ratio.csv").read_text().splitlines()
         assert heat[0] == "rate_zero,0.9"
 
@@ -389,6 +391,27 @@ class TestBenchmark:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["kind"] == "real"
         assert manifest["row_subsample"] == 4
+        assert manifest["matrix_file"] == str(truth)
+
+    def test_output_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """One and two OpenBLAS threads write the same sweep, byte for byte.
+
+        That holds at sweep sizes, not at every size: on a 2-core VM with
+        numpy's bundled OpenBLAS, ``x @ x`` of a square ``x`` was identical
+        under one and two threads up to 100x100 and differed at 101x101, so a
+        200x200 solve may end in other last digits (ROADMAP item 11).
+        """
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(SYNTH_CONFIG.replace("zero_rates = 0.3", "zero_rates = 0.3, 0.6"))
+        script = "import sys; from structmc.cli import main; print(main(sys.argv[1:]))"
+        outputs = []
+        for threads in ("1", "2"):
+            outdir = tmp_path / threads
+            assert run_python(script, "benchmark", "--config", str(cfg), "--outdir", str(outdir),
+                              "--workers", "1", OPENBLAS_NUM_THREADS=threads) == "0"
+            outputs.append([(outdir / name).read_bytes()
+                            for name in ("results.csv", "heatmap_ratio.csv", "heatmap_alpha.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_percent_in_matrix_name(self, tmp_path):
         # values are literal: configparser's % interpolation would reject "a%b"
@@ -423,8 +446,7 @@ class TestBenchmark:
         # empty, like its other numbers, not the record's default 1
         rows = list(csv.DictReader((outdir / "results.csv").read_text().splitlines()))
         assert [(r["outcome"], r["attempts"], r["error"]) for r in rows] == [
-            ("failed", "", "cell (rate_zero=0.0, rate_nonzero=0.0), trial 0: "
-                       "degenerate draws exhausted 8 attempts")]
+            ("failed", "", "degenerate draws exhausted 8 attempts")]
 
     def test_manifest_records_solver_settings(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
@@ -568,6 +590,25 @@ class TestFileErrors:
         code = run_cli("benchmark", "--config", path, "--outdir", str(tmp_path / "out"))
         self._assert_data_error(capsys, code, path)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("read", ["input", "mask", "truth"])
+    def test_csv_not_utf8_names_the_file(self, tmp_path, capsys, read):
+        d = self._inputs(tmp_path)
+        bad = d + "/bad.csv"
+        (tmp_path / "bad.csv").write_bytes(b"0,0\n1,\xff\n")
+        (tmp_path / "cfg.ini").write_text(
+            "[experiment]\nkind = real\ntrials = 1\nbase_seed = 5\nalphas = 0.1\n"
+            "zero_rates = 0.5\nnonzero_rates = 0.9\n\n[real]\nmatrix = bad.csv\n"
+        )
+        complete = ["--mode", "nnm-exact", "--output", d + "/o.csv"]
+        code = run_cli(*{
+            "input": ["complete", "--input", bad, "--infer-mask", *complete],
+            "mask": ["complete", "--input", d + "/m.csv", "--mask", bad, *complete],
+            "truth": ["benchmark", "--config", d + "/cfg.ini", "--outdir", d + "/out"],
+        }[read])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: not valid UTF-8 (invalid start byte at byte 6)\n")
 
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"

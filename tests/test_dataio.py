@@ -23,7 +23,6 @@ from structmc.dataio import (
     _SCHEMA,
     _parse_matrix_cells,
     _parse_plain_matrix,
-    BenchmarkConfig,
     emit_mask_csv,
     emit_matrix_csv,
     fmt_float,
@@ -290,14 +289,31 @@ class TestMaskCsvNumpyParse:
         assert got["\n"] == got["\r\n"]
 
 
+class TestNotUtf8:
+    @pytest.mark.parametrize("head", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("offset", [6, 20_002])
+    @pytest.mark.parametrize("read", [
+        lambda path: ingest_matrix_csv(path, policy="mask"),
+        lambda path: ingest_mask_csv(path, 2, 2),
+        load_config,
+    ], ids=["matrix", "mask", "config"])
+    def test_bad_byte_is_named_by_its_file_offset(self, tmp_path, read, offset, head):
+        # past the first 8 KB a streamed decode counts from its chunk instead
+        data = bytearray(head + b"0,1\n" * (offset // 4 + 1))
+        data[offset] = 0xFF
+        path = tmp_path / "bad"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: not valid UTF-8 (invalid start byte at byte {offset})"
+
+
 class TestConfig:
     def test_synthetic_config(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text(SYNTH_CONFIG)
-        config = load_config(path)
-        assert isinstance(config, BenchmarkConfig)
-        assert config.matrix_path is None
-        grid = config.spec
+        grid, matrix_path = load_config(path)
+        assert matrix_path is None
         assert isinstance(grid, ExperimentGrid)
         assert grid.zero_rates == (0.2, 0.8)
         assert grid.nonzero_rates == (0.9,)
@@ -317,10 +333,10 @@ class TestConfig:
     def test_real_config(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text(REAL_CONFIG)
-        config = load_config(path)
-        assert isinstance(config.spec, RealSweep)
-        assert config.spec.row_subsample == 4
-        assert config.matrix_path == str(tmp_path / "truth.csv")
+        sweep, matrix_path = load_config(path)
+        assert isinstance(sweep, RealSweep)
+        assert sweep.row_subsample == 4
+        assert matrix_path == str(tmp_path / "truth.csv")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -406,7 +422,7 @@ class TestConfig:
         path = tmp_path / "cfg.ini"
         path.write_text(line.sub("", base))
         if key in DEFAULTS:
-            spec = load_config(path).spec
+            spec, _ = load_config(path)
             assert getattr(spec.solver if section == "solver" else spec, key) == DEFAULTS[key]
         else:
             with pytest.raises(ConfigError) as info:

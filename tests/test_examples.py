@@ -60,7 +60,7 @@ def test_package_names_resolve(path):
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
 def test_demo_config_loads(path):
-    assert load_config(path).matrix_path is None
+    assert load_config(path)[1] is None
 
 
 def _readme_config():
@@ -76,10 +76,10 @@ def test_readme_config_loads(tmp_path, uncomment):
         assert "[solver]" in block and "[real]" in block
     path = tmp_path / "config.ini"
     path.write_text(block)
-    config = load_config(path)
-    assert config.spec.generator.n1 == 30
+    spec, _ = load_config(path)
+    assert spec.generator.n1 == 30
     if uncomment:
-        assert config.spec.solver.max_iters == 5000
+        assert spec.solver.max_iters == 5000
 
 
 def test_readme_config_names_the_schema_keys():
