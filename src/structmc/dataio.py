@@ -101,19 +101,20 @@ def ingest_matrix_csv(path, policy: str = "strict"):
 
     Policy "strict": empty cells are an error (complete ground-truth files);
     mask comes back None.  Policy "mask": empty cells are unobserved (0.0
-    placeholder) and the returned mask excludes them.  numpy parses a file
-    of plain numbers; any other file, and every file with an error, goes
-    through the cell loop, which names the first bad cell.
+    placeholder) and the returned mask excludes them.  Both parsers return a
+    float table with NaN in each empty cell, and only this function turns
+    NaN into the mask and the placeholder.  numpy parses a file of plain
+    numbers; any other file, and every file with an error, goes through the
+    cell loop, which names the first bad cell.
     """
     if policy not in ("strict", "mask"):
         raise ValueError(f"unknown empty-cell policy {policy!r}")
-    parsed = _parse_plain_matrix(path)
-    if parsed is None or (policy == "strict" and not parsed[1].all()):
-        parsed = _parse_matrix_cells(path, policy)
-    matrix, observed = parsed
-    if policy == "strict":
-        return matrix, None
-    return matrix, ObservationMask(observed)
+    table = _parse_plain_matrix(path)
+    if table is None or (policy == "strict" and np.isnan(table).any()):
+        table = _parse_matrix_cells(path, policy)
+    unobserved = np.isnan(table)
+    table[unobserved] = 0.0
+    return as_matrix(table), None if policy == "strict" else ObservationMask(~unobserved)
 
 
 def _text(path, error=ValueError):
@@ -128,7 +129,7 @@ def _text(path, error=ValueError):
 
 
 def _parse_plain_matrix(path):
-    """``(matrix, observed)`` of a file whose cells are decimal numbers or empty; else None.
+    """The float table, NaN in each empty cell, of a file of decimal numbers; else None.
 
     numpy's text parser reads a number as ``float`` does, bit for bit.  Only
     digits, ``.eE+-`` and commas pass, so whitespace (numpy reads a blank
@@ -151,31 +152,25 @@ def _parse_plain_matrix(path):
                 return None
     if not rows or len({len(row) for row in rows}) != 1:
         return None
-    m = np.array(rows)
-    unobserved = np.isnan(m)
-    if np.isinf(m).any():
-        return None
-    m[unobserved] = 0.0
-    return as_matrix(m), ~unobserved
+    table = np.array(rows)
+    return None if np.isinf(table).any() else table
 
 
 def _parse_matrix_cells(path, policy: str):
-    """The cell loop: ``(matrix, observed)``, or the first bad cell's error."""
+    """The cell loop: the float table, NaN in each empty cell, or the first bad cell's error."""
     rows: list[list[float]] = []
-    observed: list[list[bool]] = []
     with _text(path) as fh:
         reader = csv.reader(fh)
         for i, raw in enumerate(reader):
             if not raw:
                 continue  # ignore trailing blank lines
-            values, keep = [], []
+            values = []
             for j, cell in enumerate(raw):
                 text = cell.strip()
                 if text == "":
                     if policy == "strict":
                         raise CsvParseError(path, i, j, "empty cell in a complete matrix")
-                    values.append(0.0)
-                    keep.append(False)
+                    values.append(math.nan)
                     continue
                 try:
                     v = float(text)
@@ -184,48 +179,41 @@ def _parse_matrix_cells(path, policy: str):
                 if not math.isfinite(v):
                     raise CsvParseError(path, i, j, f"non-finite value: {text!r}")
                 values.append(v)
-                keep.append(True)
             if rows and len(values) != len(rows[0]):
                 raise CsvParseError(
                     path, i, len(values),
                     f"ragged row: expected {len(rows[0])} columns, got {len(values)}",
                 )
             rows.append(values)
-            observed.append(keep)
     if not rows:
         raise CsvParseError(path, 0, 0, "empty file")
-    return as_matrix(rows), np.array(observed, dtype=bool)
+    return np.array(rows)
 
 
 def emit_mask_csv(path, mask: ObservationMask) -> None:
     """Write observed index pairs, one ``i,j`` line per entry, row-major."""
-    _write_rows(path, mask.indices())
+    _write_rows(path, np.argwhere(mask.lookup).tolist())
 
 
 def ingest_mask_csv(path, rows: int, cols: int) -> ObservationMask:
     """Read an index-pair CSV into a mask for a ``rows x cols`` matrix.
 
-    Every pair must lie inside the matrix and none may repeat.  numpy parses
-    a file of ``i,j`` lines of plain digits whose pairs pass both checks;
-    any other file goes through the line loop, which names the line of the
-    first bad pair.
+    Every pair must lie inside the matrix and none may repeat.  The file is
+    read whole, and numpy parses a file of ``i,j`` lines of plain digits,
+    the last newline optional, in one call; when its pairs pass both checks
+    that read is the only one.  Any other file goes through the line loop,
+    which names the line of the first bad pair.
     """
     with open(path, "rb") as fh:
-        # a few lines at a time: a freed buffer above glibc's mmap threshold
-        # raises it, and the solve that follows then peaks higher
-        parts = []
-        while chunk := b"".join(fh.readlines(1 << 15)):
-            if not _PLAIN_PAIRS.fullmatch(chunk):
-                break
-            parts.append(np.fromstring(chunk.replace(b"\n", b","), dtype=np.int64, sep=","))
-        else:
-            if parts:
-                i, j = np.concatenate(parts).reshape(-1, 2).T
-                if i.max() < rows and j.max() < cols:
-                    lookup = np.zeros(rows * cols, dtype=bool)
-                    lookup[i * cols + j] = True
-                    if np.count_nonzero(lookup) == i.size:  # no pair repeats
-                        return ObservationMask(lookup.reshape(rows, cols))
+        data = fh.read()
+    if _PLAIN_PAIRS.fullmatch(data):
+        pairs = np.fromstring(data.replace(b"\n", b","), dtype=np.int64, sep=",")
+        i, j = pairs.reshape(-1, 2).T
+        if i.max() < rows and j.max() < cols:
+            lookup = np.zeros(rows * cols, dtype=bool)
+            lookup[i * cols + j] = True
+            if np.count_nonzero(lookup) == i.size:  # no pair repeats
+                return ObservationMask(lookup.reshape(rows, cols))
     lookup = np.zeros((rows, cols), dtype=bool)
     with _text(path) as fh:
         for line_no, raw in enumerate(csv.reader(fh)):
@@ -250,7 +238,7 @@ def ingest_mask_csv(path, rows: int, cols: int) -> ObservationMask:
 
 
 # at most 18 digits, so every index fits an int64
-_PLAIN_PAIRS = re.compile(rb"(?:[0-9]{1,18},[0-9]{1,18}\n)+")
+_PLAIN_PAIRS = re.compile(rb"(?:[0-9]{1,18},[0-9]{1,18}\n)*[0-9]{1,18},[0-9]{1,18}\n?")
 
 
 # ---------------------------------------------------------------------------

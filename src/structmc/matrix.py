@@ -76,10 +76,6 @@ class ObservationMask:
         """Number of observed entries, |Omega|."""
         return int(self._lookup.sum())
 
-    def indices(self) -> list[tuple[int, int]]:
-        """Observed pairs in row-major order."""
-        return [(int(i), int(j)) for i, j in np.argwhere(self._lookup)]
-
     def complement(self) -> "ObservationMask":
         """Mask of the unobserved entries; involutive."""
         return ObservationMask(~self._lookup)

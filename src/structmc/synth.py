@@ -277,8 +277,7 @@ def sample_structured_mask(m: np.ndarray, spec: SamplingSpec) -> ObservationMask
         )
     lookup = np.zeros(m.shape, dtype=bool)
     for pos in (chosen_zero, chosen_nonzero):
-        if len(pos):
-            lookup[pos[:, 0], pos[:, 1]] = True
+        lookup[pos[:, 0], pos[:, 1]] = True
     return ObservationMask(lookup)
 
 

@@ -19,6 +19,7 @@ from structmc import (
     run_grid,
     stream,
 )
+from structmc import dataio
 from structmc.dataio import (
     _SCHEMA,
     _parse_matrix_cells,
@@ -73,7 +74,7 @@ class TestMatrixCsv:
         path.write_text("1,\n3,4\n")
         matrix, mask = ingest_matrix_csv(path, policy="mask")
         np.testing.assert_array_equal(matrix, [[1.0, 0.0], [3.0, 4.0]])
-        assert mask.indices() == [(0, 0), (1, 0), (1, 1)]
+        assert mask == mask_of((2, 2), [(0, 0), (1, 0), (1, 1)])
 
     def test_strict_policy_rejects_empty_cell(self, tmp_path):
         path = tmp_path / "holes.csv"
@@ -137,8 +138,9 @@ def _outcome(read):
 
 
 def _cell_loop(path, policy):
-    matrix, observed = _parse_matrix_cells(path, policy)
-    return matrix, (observed if policy == "mask" else None)
+    table = _parse_matrix_cells(path, policy)
+    observed = ~np.isnan(table)
+    return np.where(observed, table, 0.0), (observed if policy == "mask" else None)
 
 
 CSV_PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -170,9 +172,9 @@ class TestMatrixCsvNumpyParse:
         texts = [spelling.format(v) for v in values]
         path = tmp_path_factory.mktemp("csv") / "m.csv"
         path.write_text(",".join(texts) + "\n")
-        parsed = _parse_plain_matrix(path)
-        assert parsed is not None
-        assert parsed[0].tobytes() == np.array([[float(t) for t in texts]]).tobytes()
+        table = _parse_plain_matrix(path)
+        assert table is not None
+        assert table.tobytes() == np.array([[float(t) for t in texts]]).tobytes()
 
     def test_emitted_file_with_holes_takes_the_numpy_parse(self, tmp_path):
         m = stream(3, "numpy-parse").standard_normal((6, 5)) * 1e3
@@ -181,9 +183,9 @@ class TestMatrixCsvNumpyParse:
         path.write_text("".join(
             ",".join(repr(v) if k else "" for v, k in zip(row, keep)) + "\n"
             for row, keep in zip(m.tolist(), mask.lookup.tolist())))
-        matrix, observed = _parse_plain_matrix(path)
-        assert matrix.tobytes() == np.where(mask.lookup, m, 0.0).tobytes()
-        np.testing.assert_array_equal(observed, mask.lookup)
+        table = _parse_plain_matrix(path)
+        np.testing.assert_array_equal(np.isnan(table), ~mask.lookup)
+        assert table[mask.lookup].tobytes() == m[mask.lookup].tobytes()
 
 
 class TestMaskCsv:
@@ -193,6 +195,11 @@ class TestMaskCsv:
         emit_mask_csv(path, mask)
         back = ingest_mask_csv(path, 3, 4)
         assert back == mask
+
+    def test_writer_bytes(self, tmp_path):
+        path = tmp_path / "mask.csv"
+        emit_mask_csv(path, mask_of((2, 3), [(1, 2), (0, 0), (0, 2)]))
+        assert path.read_bytes() == b"0,0\n0,2\n1,2\n"  # row-major
 
     def test_bad_pair_rejected(self, tmp_path):
         path = tmp_path / "mask.csv"
@@ -287,6 +294,20 @@ class TestMaskCsvNumpyParse:
             path.write_bytes((end.join(lines) + (end if final_newline else "")).encode())
             got[end] = _outcome(lambda: (np.zeros(1), ingest_mask_csv(path, 4, 4)))
         assert got["\n"] == got["\r\n"]
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_plain_file_never_reaches_the_line_loop(self, tmp_path, monkeypatch, final_newline):
+        mask = ObservationMask(stream(4, "plain-mask").random((200, 200)) < 0.6)
+        path = tmp_path / "k.csv"
+        emit_mask_csv(path, mask)
+        if not final_newline:
+            path.write_bytes(path.read_bytes()[:-1])
+
+        def no_line_loop(*args):
+            raise AssertionError("the line loop read a plain mask file")
+
+        monkeypatch.setattr(dataio, "_text", no_line_loop)
+        assert ingest_mask_csv(path, 200, 200) == mask
 
 
 class TestNotUtf8:

@@ -1,18 +1,23 @@
 """The demos and the README's Python blocks use only names the package has,
-and the documented benchmark configs load.
+the fast demos run, and the documented benchmark configs load.
 
-Nothing runs them in the suite, so a renamed or deleted package name would
-leave them broken unseen.  Each source is parsed with ``ast``: every
-``<alias>.<name>`` on an ``import structmc as <alias>`` and every name in a
-``from structmc... import`` must resolve.  The configs are the files in
-``demos/configs`` and the README's ``ini`` block, once as written and once
-with its commented-out sections switched on; that block also names exactly
-the sections and keys the config reader knows.
+The fast demos run to exit code 0 in a fresh interpreter, in a temporary
+directory.  ``error_ratio_sweep.py`` (a few seconds, optional matplotlib)
+and the README's blocks do not run, so every source is also checked by
+name: it is parsed with ``ast``, and every ``<alias>.<name>`` on an
+``import structmc as <alias>`` and every name in a ``from structmc... import``
+must resolve.  The configs are the files in ``demos/configs`` and the
+README's ``ini`` block, once as written and once with its commented-out
+sections switched on; that block also names exactly the sections and keys
+the config reader knows.
 """
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +28,8 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 SOURCES = [*sorted((ROOT / "demos").glob("*.py")), README]
 CONFIGS = sorted((ROOT / "demos" / "configs").glob("*.ini"))
+FAST_DEMOS = ["complete_toy_matrix.py", "noisy_completion.py", "restricted_support_rpca.py",
+              "survey_style_sweep.py"]
 
 
 def _python(path):
@@ -56,6 +63,15 @@ def test_package_names_resolve(path):
     missing = sorted(f"{module}.{attr}" for module, attr in used
                      if not hasattr(importlib.import_module(module), attr))
     assert not missing, f"{path.name} uses names structmc does not have: {missing}"
+
+
+@pytest.mark.parametrize("name", FAST_DEMOS)
+def test_fast_demo_runs(tmp_path, name):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        path for path in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if path))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)

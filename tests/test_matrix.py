@@ -53,13 +53,13 @@ class TestObservationMask:
     def test_indices_roundtrip(self):
         mask = mask_of((2, 3), [(0, 0), (1, 2), (0, 2)])
         assert mask.size == 3
-        assert mask.indices() == [(0, 0), (0, 2), (1, 2)]  # row-major
+        assert np.argwhere(mask.lookup).tolist() == [[0, 0], [0, 2], [1, 2]]  # row-major
         assert mask.lookup[0, 0] and not mask.lookup[1, 0]
 
     def test_complement_is_exact_partition(self):
         mask = mask_of((2, 2), [(0, 0)])
         comp = mask.complement()
-        assert comp.indices() == [(0, 1), (1, 0), (1, 1)]
+        assert np.argwhere(comp.lookup).tolist() == [[0, 1], [1, 0], [1, 1]]
         assert mask.size + comp.size == 4
         assert not np.any(mask.lookup & comp.lookup)
 
