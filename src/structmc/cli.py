@@ -218,6 +218,9 @@ def cmd_benchmark(args) -> int:
         spec_fields["generator"]["seed"] = None
     else:
         spec_fields["matrix_file"] = matrix_path
+    # the numeric stack, so that other bytes on another machine can be traced to it
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
     manifest = {
         "kind": "synthetic" if matrix_path is None else "real",
         "config_file": os.path.abspath(args.config),
@@ -231,6 +234,9 @@ def cmd_benchmark(args) -> int:
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
         "python_version": sys.version.split()[0],
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        **{name.lower(): os.environ.get(name) for name in threads},
     }
     write_manifest(os.path.join(args.outdir, "manifest.json"), manifest)
     if n_failed:
@@ -317,7 +323,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,7 +15,10 @@ File conventions
 
 Floats are serialized with :func:`repr`, which round-trips float64 exactly.
 Text files are read as UTF-8; a leading byte-order mark, as spreadsheet
-"CSV UTF-8" exports write, is skipped.
+"CSV UTF-8" exports write, is skipped.  Both CSV readers parse a file of plain
+numbers in one numpy pass, linear in its size, that reads ``\\r\\n`` as ``\\n``
+and skips blank lines; any other file goes through a loop that names its first
+bad cell.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import io
 import json
 import math
 import os
-import re
 from dataclasses import MISSING
 
 import numpy as np
@@ -104,13 +106,13 @@ def ingest_matrix_csv(path, policy: str = "strict"):
     placeholder) and the returned mask excludes them.  Both parsers return a
     float table with NaN in each empty cell, and only this function turns
     NaN into the mask and the placeholder.  numpy parses a file of plain
-    numbers; any other file, and every file with an error, goes through the
-    cell loop, which names the first bad cell.
+    numbers in one pass over the whole file; any other file, and every file
+    with an error, goes through the cell loop, which names the first bad cell.
     """
     if policy not in ("strict", "mask"):
         raise ValueError(f"unknown empty-cell policy {policy!r}")
-    table = _parse_plain_matrix(path)
-    if table is None or (policy == "strict" and np.isnan(table).any()):
+    table = _plain_table(path, b"0123456789.eE+-", np.float64)
+    if table is None or np.isinf(table).any() or (policy == "strict" and np.isnan(table).any()):
         table = _parse_matrix_cells(path, policy)
     unobserved = np.isnan(table)
     table[unobserved] = 0.0
@@ -128,32 +130,32 @@ def _text(path, error=ValueError):
         raise error(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
-def _parse_plain_matrix(path):
-    """The float table, NaN in each empty cell, of a file of decimal numbers; else None.
+def _plain_table(path, digits: bytes, dtype):
+    """The table of a file of numbers spelled with ``digits``, NaN in each empty cell; else None.
 
-    numpy's text parser reads a number as ``float`` does, bit for bit.  Only
-    digits, ``.eE+-`` and commas pass, so whitespace (numpy reads a blank
-    cell as -1.0), quotes and words (``nan``, ``inf``) are left to the cell
-    loop.
+    One pass over the whole file, linear in its size.  Deleting ``digits``
+    must leave only commas and newlines, the same commas on every line, so
+    whitespace, quotes, words (``nan``, ``inf``) and ragged rows go to the loop
+    that names the bad cell.  An int64 parse rejects the NaN of an empty
+    cell, and saturates a too-long index at 2**63 - 1.
     """
-    rows = []
     with open(path, "rb") as fh:
-        for line in fh:
-            line = line.rstrip(b"\n")
-            if not line:
-                continue  # a blank line, as csv skips it
-            if line.translate(None, b"0123456789.eE+-,"):
-                return None
-            # an empty cell reads NaN
-            padded = (b"," + line + b",").replace(b",,", b",nan,").replace(b",,", b",nan,")
-            try:
-                rows.append(np.fromstring(padded[1:-1], sep=","))
-            except ValueError:
-                return None
-    if not rows or len({len(row) for row in rows}) != 1:
+        data = fh.read().removeprefix(b"\xef\xbb\xbf").replace(b"\r\n", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    while b"\n\n" in data:  # blank lines, which csv skips
+        data = data.replace(b"\n\n", b"\n")
+    data = data.removeprefix(b"\n")
+    seps = data.translate(None, digits)
+    first = seps[: seps.find(b"\n") + 1]
+    if not data or seps.translate(None, b",\n") or seps != first * seps.count(b"\n"):
         return None
-    table = np.array(rows)
-    return None if np.isinf(table).any() else table
+    # the cells after a dummy one, so that every empty cell, the first too, reads NaN
+    data = (b"0," + data.replace(b"\n", b",")).replace(b",,", b",nan,").replace(b",,", b",nan,")
+    try:
+        return np.fromstring(data, dtype=dtype, sep=",")[1:].reshape(-1, len(first))
+    except ValueError:  # a cell that is not one number
+        return None
 
 
 def _parse_matrix_cells(path, policy: str):
@@ -198,17 +200,14 @@ def emit_mask_csv(path, mask: ObservationMask) -> None:
 def ingest_mask_csv(path, rows: int, cols: int) -> ObservationMask:
     """Read an index-pair CSV into a mask for a ``rows x cols`` matrix.
 
-    Every pair must lie inside the matrix and none may repeat.  The file is
-    read whole, and numpy parses a file of ``i,j`` lines of plain digits,
-    the last newline optional, in one call; when its pairs pass both checks
-    that read is the only one.  Any other file goes through the line loop,
-    which names the line of the first bad pair.
+    Every pair must lie inside the matrix and none may repeat.  numpy parses
+    a file of ``i,j`` lines of plain digits in one pass over the whole file;
+    when its pairs pass both checks that read is the only one.  Any other
+    file goes through the line loop, which names the line of the first bad pair.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if _PLAIN_PAIRS.fullmatch(data):
-        pairs = np.fromstring(data.replace(b"\n", b","), dtype=np.int64, sep=",")
-        i, j = pairs.reshape(-1, 2).T
+    pairs = _plain_table(path, b"0123456789", np.int64)
+    if pairs is not None and pairs.shape[1] == 2:
+        i, j = pairs.T
         if i.max() < rows and j.max() < cols:
             lookup = np.zeros(rows * cols, dtype=bool)
             lookup[i * cols + j] = True
@@ -235,10 +234,6 @@ def ingest_mask_csv(path, rows: int, cols: int) -> ObservationMask:
                 raise CsvParseError(path, line_no, 0, f"duplicate index pair ({i}, {j})")
             lookup[i, j] = True
     return ObservationMask(lookup)
-
-
-# at most 18 digits, so every index fits an int64
-_PLAIN_PAIRS = re.compile(rb"(?:[0-9]{1,18},[0-9]{1,18}\n)*[0-9]{1,18},[0-9]{1,18}\n?")
 
 
 # ---------------------------------------------------------------------------

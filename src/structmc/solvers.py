@@ -69,7 +69,10 @@ quadratic form's shrink-to-zero threshold: with the unsquared fit that weight
 over-shrinks everything at realistic noise levels.  Solvers are deterministic
 (no randomness anywhere) and hold no shared state, so distinct calls may run
 concurrently.  They are not single-threaded: the BLAS under svt runs as many
-threads as it is configured for (OpenBLAS defaults to one per core).
+threads as it is configured for (OpenBLAS defaults to one per core).  The
+residual norms and the objective's quadratic term are sums of ``np.einsum``,
+not BLAS dot products, which OpenBLAS splits between threads, so that neither
+depends on the thread count.
 
 :func:`oracle_solve` is an independent check for tiny instances: BFGS on
 the objective with its kinks smoothed, the smoothing lowered by decades from
@@ -92,7 +95,6 @@ from .matrix import (
     _check_shape,
     as_matrix,
     entrywise_l1,
-    frobenius_norm,
     nuclear_norm,
     project,
 )
@@ -269,7 +271,7 @@ def objective_value(
         return value + problem.alpha * entrywise_l1(sparse)
     if fit == "quad":
         residual = project(problem.observed_values - completed, problem.mask)
-        value = 0.5 * frobenius_norm(residual) ** 2 + problem.rho * value
+        value = 0.5 * float(np.einsum("ij,ij->", residual, residual)) + problem.rho * value
     if reg:
         value = value + problem.alpha * entrywise_l1(project(completed, problem.mask.complement()))
     return value
@@ -464,8 +466,7 @@ def solve(
             np.subtract(z_new, z_in, out=g[0])
             np.subtract(a, z_new, out=g[1])
             np.add(u_in, g[1], out=f[1])
-            dz, r = g.reshape(2, -1)
-            dznorm, rnorm = math.sqrt(dz @ dz), math.sqrt(r @ r)
+            dznorm, rnorm = map(math.sqrt, np.einsum("ijk,ijk->i", g, g))
             snorm = pen * dznorm
             accelerated += extrapolated
             warm_steps += not exact

@@ -394,24 +394,38 @@ class TestBenchmark:
         assert manifest["matrix_file"] == str(truth)
 
     def test_output_does_not_depend_on_the_blas_thread_count(self, tmp_path):
-        """One and two OpenBLAS threads write the same sweep, byte for byte.
+        """One and two OpenBLAS threads write the same files, byte for byte.
 
-        That holds at sweep sizes, not at every size: on a 2-core VM with
-        numpy's bundled OpenBLAS, ``x @ x`` of a square ``x`` was identical
-        under one and two threads up to 100x100 and differed at 101x101, so a
-        200x200 solve may end in other last digits (ROADMAP item 11).
+        Cases: a sweep of 30x30 solves, and one 200x200 ``complete``.
+        OpenBLAS splits a dot product of more than 10,000 entries between
+        its threads, which changes its summation order, so a 200x200 solve
+        sums its residual norms and its objective's quadratic term without
+        BLAS.  Its 200x200 SVDs give the same bits on one and two threads.
         """
-        cfg = tmp_path / "cfg.ini"
+        cfg, truth, mask = tmp_path / "cfg.ini", tmp_path / "truth.csv", tmp_path / "mask.csv"
         cfg.write_text(SYNTH_CONFIG.replace("zero_rates = 0.3", "zero_rates = 0.3, 0.6"))
+        assert run_cli("generate", "--rows", "200", "--cols", "200", "--rank", "5",
+                       "--density-left", "0.3", "--density-right", "0.5",
+                       "--rate-zero", "0.1", "--rate-nonzero", "0.9",
+                       "--matrix-out", str(truth), "--mask-out", str(mask)) == 0
+        # each case: its command line, a directory to finish it, and the files it writes
+        cases = [
+            (["benchmark", "--config", str(cfg), "--workers", "1", "--outdir"], "",
+             ("results.csv", "heatmap_ratio.csv", "heatmap_alpha.csv")),
+            (["complete", "--input", str(truth), "--mask", str(mask), "--mode", "nnm-noisy-reg",
+              "--alpha", "0.01", "--sigma", "0.1", "--output"], "completed.csv",
+             ("completed.csv", "completed.csv.diag.json")),
+        ]
         script = "import sys; from structmc.cli import main; print(main(sys.argv[1:]))"
-        outputs = []
-        for threads in ("1", "2"):
-            outdir = tmp_path / threads
-            assert run_python(script, "benchmark", "--config", str(cfg), "--outdir", str(outdir),
-                              "--workers", "1", OPENBLAS_NUM_THREADS=threads) == "0"
-            outputs.append([(outdir / name).read_bytes()
-                            for name in ("results.csv", "heatmap_ratio.csv", "heatmap_alpha.csv")])
-        assert outputs[0] == outputs[1]
+        for k, (argv, target, names) in enumerate(cases):
+            outputs = []
+            for threads in ("1", "2"):
+                outdir = tmp_path / f"{k}-{threads}"
+                outdir.mkdir()
+                assert run_python(script, *argv, str(outdir / target),
+                                  OPENBLAS_NUM_THREADS=threads) == "0"
+                outputs.append([(outdir / name).read_bytes() for name in names])
+            assert outputs[0] == outputs[1], argv[0]
 
     def test_percent_in_matrix_name(self, tmp_path):
         # values are literal: configparser's % interpolation would reject "a%b"
@@ -455,6 +469,20 @@ class TestBenchmark:
         assert run_cli("benchmark", "--config", str(cfg), "--outdir", str(outdir)) == 0
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["solver"] == dict(dataclasses.asdict(SolverConfig()), primal_tol=1e-8)
+
+    def test_manifest_records_the_numeric_stack(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(SYNTH_CONFIG)
+        outdir = tmp_path / "out"
+        assert run_cli("benchmark", "--config", str(cfg), "--outdir", str(outdir)) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert (manifest["blas_name"], manifest["blas_version"]) == (blas["name"], blas["version"])
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["openblas_num_threads"] == "1"
+        assert manifest["omp_num_threads"] is None
 
     def test_manifest_records_the_generator(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

@@ -1,7 +1,12 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +28,7 @@ from structmc import dataio
 from structmc.dataio import (
     _SCHEMA,
     _parse_matrix_cells,
-    _parse_plain_matrix,
+    _plain_table,
     emit_mask_csv,
     emit_matrix_csv,
     fmt_float,
@@ -137,6 +142,10 @@ def _outcome(read):
     return matrix.tobytes(), matrix.shape, None if observed is None else observed.tobytes()
 
 
+def _plain_matrix(path):
+    return _plain_table(path, b"0123456789.eE+-", np.float64)
+
+
 def _cell_loop(path, policy):
     table = _parse_matrix_cells(path, policy)
     observed = ~np.isnan(table)
@@ -156,11 +165,12 @@ class TestMatrixCsvNumpyParse:
 
     @CSV_PROPERTY
     @given(rows=st.lists(st.lists(CELLS, min_size=1, max_size=4), min_size=1, max_size=4),
-           policy=st.sampled_from(["mask", "strict"]), blank_line=st.booleans())
-    def test_matches_the_cell_loop(self, tmp_path_factory, rows, policy, blank_line):
+           policy=st.sampled_from(["mask", "strict"]), blank_line=st.booleans(),
+           end=st.sampled_from(["\n", "\r\n"]))
+    def test_matches_the_cell_loop(self, tmp_path_factory, rows, policy, blank_line, end):
         path = tmp_path_factory.mktemp("csv") / "m.csv"
         lines = [",".join(row) for row in rows] + ([""] if blank_line else [])
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes((end.join(lines) + end).encode())
         assert _outcome(lambda: ingest_matrix_csv(path, policy)) == _outcome(
             lambda: _cell_loop(path, policy))
 
@@ -172,7 +182,7 @@ class TestMatrixCsvNumpyParse:
         texts = [spelling.format(v) for v in values]
         path = tmp_path_factory.mktemp("csv") / "m.csv"
         path.write_text(",".join(texts) + "\n")
-        table = _parse_plain_matrix(path)
+        table = _plain_matrix(path)
         assert table is not None
         assert table.tobytes() == np.array([[float(t) for t in texts]]).tobytes()
 
@@ -183,9 +193,26 @@ class TestMatrixCsvNumpyParse:
         path.write_text("".join(
             ",".join(repr(v) if k else "" for v, k in zip(row, keep)) + "\n"
             for row, keep in zip(m.tolist(), mask.lookup.tolist())))
-        table = _parse_plain_matrix(path)
+        table = _plain_matrix(path)
         np.testing.assert_array_equal(np.isnan(table), ~mask.lookup)
         assert table[mask.lookup].tobytes() == m[mask.lookup].tobytes()
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_plain_file_never_reaches_the_cell_loop(self, tmp_path, monkeypatch, end):
+        m = stream(5, "plain-matrix").standard_normal((200, 200))
+        mask = ObservationMask(stream(5, "plain-matrix-mask").random((200, 200)) < 0.6)
+        path = tmp_path / "m.csv"
+        path.write_bytes("".join(
+            ",".join(repr(v) if k else "" for v, k in zip(row, keep)) + end
+            for row, keep in zip(m.tolist(), mask.lookup.tolist())).encode())
+
+        def no_cell_loop(*args):
+            raise AssertionError("the cell loop read a plain matrix file")
+
+        monkeypatch.setattr(dataio, "_text", no_cell_loop)
+        matrix, observed = ingest_matrix_csv(path, policy="mask")
+        assert observed == mask
+        assert matrix.tobytes() == np.where(mask.lookup, m, 0.0).tobytes()
 
 
 class TestMaskCsv:
@@ -285,29 +312,53 @@ class TestMaskCsvNumpyParse:
     @given(lines=st.lists(st.lists(
         st.integers(0, 3).map(str) | st.sampled_from(["007", " 1", "-1", "1.0", "", "x",
                                                       "99999999999999999999"]),
-        min_size=1, max_size=3).map(",".join), max_size=5), final_newline=st.booleans())
-    @example(lines=["1,2", "99999999999999999999,1"], final_newline=True)  # beyond int64
-    def test_matches_the_line_loop(self, tmp_path_factory, lines, final_newline):
+        min_size=1, max_size=3).map(",".join), max_size=5), final_newline=st.booleans(),
+        end=st.sampled_from(["\n", "\r\n"]))
+    @example(lines=["1,2", "99999999999999999999,1"], final_newline=True, end="\n")  # > int64
+    @example(lines=["0,0,0", "1"], final_newline=False, end="\n")  # as many commas as pairs
+    @example(lines=["", "1,2", "", "", "3,1"], final_newline=True, end="\r\n")  # blank lines
+    def test_matches_the_line_loop(self, tmp_path_factory, lines, final_newline, end):
         path = tmp_path_factory.mktemp("mask") / "k.csv"
-        got = {}
-        for end in ("\n", "\r\n"):  # csv reads both alike; only "\n" files are plain
-            path.write_bytes((end.join(lines) + (end if final_newline else "")).encode())
-            got[end] = _outcome(lambda: (np.zeros(1), ingest_mask_csv(path, 4, 4)))
-        assert got["\n"] == got["\r\n"]
+        path.write_bytes((end.join(lines) + (end if final_newline else "")).encode())
+        with mock.patch.object(dataio, "_plain_table", lambda *args: None):  # the loop alone
+            expected = _outcome(lambda: (np.zeros(1), ingest_mask_csv(path, 4, 4)))
+        assert _outcome(lambda: (np.zeros(1), ingest_mask_csv(path, 4, 4))) == expected
 
     @pytest.mark.parametrize("final_newline", [True, False])
     def test_plain_file_never_reaches_the_line_loop(self, tmp_path, monkeypatch, final_newline):
         mask = ObservationMask(stream(4, "plain-mask").random((200, 200)) < 0.6)
         path = tmp_path / "k.csv"
         emit_mask_csv(path, mask)
-        if not final_newline:
-            path.write_bytes(path.read_bytes()[:-1])
+        lf = path.read_bytes()
 
         def no_line_loop(*args):
             raise AssertionError("the line loop read a plain mask file")
 
         monkeypatch.setattr(dataio, "_text", no_line_loop)
-        assert ingest_mask_csv(path, 200, 200) == mask
+        for end in (b"\n", b"\r\n"):
+            data = lf.replace(b"\n", end)
+            path.write_bytes(data if final_newline else data.removesuffix(end))
+            assert ingest_mask_csv(path, 200, 200) == mask
+
+    def test_large_mask_reads_in_linear_memory(self, tmp_path):
+        """A 600,000-pair mask peaks below 8x its file size above the reader's start."""
+        lookup = stream(6, "large-mask").random((1000, 1000)) < 0.6
+        path = tmp_path / "k.csv"
+        with open(path, "w") as fh:
+            fh.writelines("".join(f"{i},{j}\n" for j in np.flatnonzero(row).tolist())
+                          for i, row in enumerate(lookup))
+        script = (
+            "import resource, sys; from structmc.dataio import ingest_mask_csv; "
+            "start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "mask = ingest_mask_csv(sys.argv[1], 1000, 1000); "
+            "print(mask.lookup.sum(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start)")
+        src = str(Path(dataio.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                              text=True, timeout=120, check=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        observed, grown_kb = map(int, proc.stdout.split())
+        assert observed == np.count_nonzero(lookup) >= 500_000
+        assert grown_kb * 1024 < 8 * path.stat().st_size
 
 
 class TestNotUtf8:
