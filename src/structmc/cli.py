@@ -220,7 +220,6 @@ def cmd_benchmark(args) -> int:
         spec_fields["matrix_file"] = matrix_path
     # the numeric stack, so that other bytes on another machine can be traced to it
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
     manifest = {
         "kind": "synthetic" if matrix_path is None else "real",
         "config_file": os.path.abspath(args.config),
@@ -236,7 +235,7 @@ def cmd_benchmark(args) -> int:
         "python_version": sys.version.split()[0],
         "blas_name": blas.get("name"),
         "blas_version": blas.get("version"),
-        **{name.lower(): os.environ.get(name) for name in threads},
+        **{n.lower(): os.environ.get(n) for n in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
     write_manifest(os.path.join(args.outdir, "manifest.json"), manifest)
     if n_failed:

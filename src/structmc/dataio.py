@@ -140,22 +140,27 @@ def _plain_table(path, digits: bytes, dtype):
     cell, and saturates a too-long index at 2**63 - 1.
     """
     with open(path, "rb") as fh:
-        data = fh.read().removeprefix(b"\xef\xbb\xbf").replace(b"\r\n", b"\n")
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
+    if b"\r" in data:  # one-byte scans first: a plain "\n" file pays for no two-byte one
+        data = data.replace(b"\r\n", b"\n")
     if not data.endswith(b"\n"):
         data += b"\n"
-    while b"\n\n" in data:  # blank lines, which csv skips
-        data = data.replace(b"\n\n", b"\n")
-    data = data.removeprefix(b"\n")
     seps = data.translate(None, digits)
+    if b"\n\n" in seps or seps.startswith(b"\n"):  # maybe blank lines, which csv skips
+        while b"\n\n" in data:
+            data = data.replace(b"\n\n", b"\n")
+        data = data.removeprefix(b"\n")
+        seps = data.translate(None, digits)
     first = seps[: seps.find(b"\n") + 1]
     if not data or seps.translate(None, b",\n") or seps != first * seps.count(b"\n"):
         return None
     # the cells after a dummy one, so that every empty cell, the first too, reads NaN
     data = (b"0," + data.replace(b"\n", b",")).replace(b",,", b",nan,").replace(b",,", b",nan,")
     try:
-        return np.fromstring(data, dtype=dtype, sep=",")[1:].reshape(-1, len(first))
-    except ValueError:  # a cell that is not one number
+        cells = np.fromstring(data, dtype=dtype, sep=",")
+    except (ValueError, DeprecationWarning):  # a bad cell; numpy 1.x may only warn and stop short
         return None
+    return cells[1:].reshape(-1, len(first)) if cells.size == len(seps) + 1 else None
 
 
 def _parse_matrix_cells(path, policy: str):
@@ -206,13 +211,11 @@ def ingest_mask_csv(path, rows: int, cols: int) -> ObservationMask:
     file goes through the line loop, which names the line of the first bad pair.
     """
     pairs = _plain_table(path, b"0123456789", np.int64)
-    if pairs is not None and pairs.shape[1] == 2:
-        i, j = pairs.T
-        if i.max() < rows and j.max() < cols:
-            lookup = np.zeros(rows * cols, dtype=bool)
-            lookup[i * cols + j] = True
-            if np.count_nonzero(lookup) == i.size:  # no pair repeats
-                return ObservationMask(lookup.reshape(rows, cols))
+    if pairs is not None and pairs.shape[1] == 2 and (pairs.max(0) < (rows, cols)).all():
+        lookup = np.zeros(rows * cols, dtype=bool)
+        lookup[pairs[:, 0] * cols + pairs[:, 1]] = True
+        if np.count_nonzero(lookup) == len(pairs):  # no pair repeats
+            return ObservationMask(lookup.reshape(rows, cols))
     lookup = np.zeros((rows, cols), dtype=bool)
     with _text(path) as fh:
         for line_no, raw in enumerate(csv.reader(fh)):

@@ -69,10 +69,9 @@ quadratic form's shrink-to-zero threshold: with the unsquared fit that weight
 over-shrinks everything at realistic noise levels.  Solvers are deterministic
 (no randomness anywhere) and hold no shared state, so distinct calls may run
 concurrently.  They are not single-threaded: the BLAS under svt runs as many
-threads as it is configured for (OpenBLAS defaults to one per core).  The
-residual norms and the objective's quadratic term are sums of ``np.einsum``,
-not BLAS dot products, which OpenBLAS splits between threads, so that neither
-depends on the thread count.
+threads as it is configured for (OpenBLAS defaults to one per core), but the
+residual norms and the quadratic term are ``np.einsum`` sums, which do not
+depend on the thread count as an OpenBLAS dot product does.
 
 :func:`oracle_solve` is an independent check for tiny instances: BFGS on
 the objective with its kinks smoothed, the smoothing lowered by decades from

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -359,6 +360,49 @@ class TestMaskCsvNumpyParse:
         observed, grown_kb = map(int, proc.stdout.split())
         assert observed == np.count_nonzero(lookup) >= 500_000
         assert grown_kb * 1024 < 8 * path.stat().st_size
+
+
+def _numpy_1_fromstring(data, dtype, sep):
+    """``np.fromstring`` as numpy 1.x runs it: at the first cell that is not one
+    number it warns, and returns the cells before that one."""
+    cells = []
+    for text in data.decode().split(sep)[:-1]:
+        try:
+            cells.append(dtype(text))
+        except ValueError:
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            break
+    return np.array(cells, dtype=dtype)
+
+
+class TestPlainTableOnNumpy1:
+    """A bad cell at the start of a later row leaves a cut-off parse that
+    reshapes cleanly; the reader must still see that the file is not plain."""
+
+    @pytest.mark.parametrize("action", ["ignore", "error"])
+    @pytest.mark.parametrize("text, digits, dtype", [
+        ("0,1\n,3\n5,6\n", b"0123456789", np.int64),
+        ("1,2\n3,4\n.,6\n", b"0123456789.eE+-", np.float64),
+    ], ids=["mask", "matrix"])
+    def test_a_cut_off_parse_is_not_a_table(self, tmp_path, monkeypatch, action, text,
+                                            digits, dtype):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        monkeypatch.setattr(np, "fromstring", _numpy_1_fromstring)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, DeprecationWarning)
+            assert _plain_table(path, digits, dtype) is None
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_the_loops_name_the_bad_cell(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(np, "fromstring", _numpy_1_fromstring)
+        path = tmp_path / "t.csv"
+        path.write_text("0,1\n,3\n5,6\n")
+        with pytest.raises(ValueError, match="row 1, col 0"):
+            ingest_mask_csv(path, 8, 8)
+        path.write_text("1,2\n3,4\n.,6\n")
+        with pytest.raises(CsvParseError, match="row 2, col 0"):
+            ingest_matrix_csv(path)
 
 
 class TestNotUtf8:
