@@ -135,13 +135,12 @@ _RANK_REL_CUTOFF = 1e-6
 # residual balancing scales the penalty by _BALANCE_FACTOR when one residual exceeds
 # _BALANCE_RATIO times the other, at most _MAX_PENALTY_CHANGES times per solve
 _BALANCE_RATIO, _BALANCE_FACTOR, _MAX_PENALTY_CHANGES = 10.0, 2.0, 20
-# Anderson acceleration extrapolates from this many past steps (0 turns it off),
-# at most _ANDERSON_WARM_MEMORY at or above the warm svt gate: below it 8 steps cut
-# sweep iterations by a sixth against 3, above it they cost memory and save nothing.
-# From the warm gate the history (12 times the data) is kept in single precision:
-# it is only a start, and whole n x n solves of all five modes on seven families
-# (n = 40-200, large rank 5/10/20, rank4, trend at 10%/90% of zeros, rank 5 observed
-# 30% at random) took the same iterations to within 3%
+# Anderson acceleration extrapolates from this many past steps below the warm svt gate
+# and _ANDERSON_WARM_MEMORY at or above it (0 turns it off): below it 8 steps cut sweep
+# iterations by a sixth against 3, above it they cost memory and save nothing. There the
+# history (12 times the data) is kept in single precision: it is only a start, and n x n
+# solves of all five modes on seven families (n = 40-200, large rank 5/10/20, rank4, trend
+# at 10%/90% of zeros, rank 5 observed 30% at random) took the same iterations to 3%
 _ANDERSON_MEMORY, _ANDERSON_WARM_MEMORY = 8, 3
 # Tikhonov weight of the Anderson least squares, relative to its Gram trace
 _ANDERSON_REG = 1e-5
@@ -445,7 +444,7 @@ def solve(
         u = np.zeros_like(z)
         pen = cfg.admm_penalty
     ptol, dtol = _tolerances(cfg, problem.shape)
-    memory = min(_ANDERSON_MEMORY, _ANDERSON_WARM_MEMORY) if warm else _ANDERSON_MEMORY
+    memory = _ANDERSON_WARM_MEMORY if warm else _ANDERSON_MEMORY
     anderson = _Anderson(memory, problem.shape, np.float32 if warm else np.float64)
     # the step's output (Z+, U+) and the point the next step starts from:
     # the output or an extrapolation of it

@@ -261,21 +261,33 @@ class TestComplete:
         assert code == 2
         assert capsys.readouterr().err.startswith("usage error: ")
 
-    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
-        import structmc.solvers as solvers_mod
-        from structmc.errors import NumericalError
-
-        def failing_svt(*args, **kwargs):
-            raise NumericalError("synthetic SVD breakdown")
-
-        monkeypatch.setattr(solvers_mod, "svt", failing_svt)
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # observations near 1e200 overflow the Gram product of the first svt
         src = tmp_path / "m.csv"
-        src.write_text("1,1\n1,\n")
+        src.write_text("1e200,1e200,1e200\n1e200,1e200,1e200\n1e200,1e200,1e200\n")
         code = run_cli(
             "complete", "--input", str(src), "--infer-mask",
             "--mode", "nnm-exact", "--output", str(tmp_path / "o.csv"),
         )
         assert code == 4
+        assert capsys.readouterr().err == "numerical failure after 1 iterations\n"
+        diag = json.loads((tmp_path / "o.csv.diag.json").read_text())
+        assert diag["status"] == "numerical-failure"
+
+    def test_iteration_cap_is_a_warning(self, tmp_path, capsys):
+        src = tmp_path / "m.csv"
+        src.write_text("1,1\n1,\n")
+        code = run_cli(
+            "complete", "--input", str(src), "--infer-mask",
+            "--mode", "nnm-exact", "--output", str(tmp_path / "o.csv"), "--max-iters", "1",
+        )
+        assert code == 0
+        assert capsys.readouterr().err.startswith(
+            "warning: stopped at the iteration cap (1); residuals "
+        )
+        diag = json.loads((tmp_path / "o.csv.diag.json").read_text())
+        assert diag["status"] == "max-iters"
+        assert diag["iterations"] == 1
 
     def test_diagnostics_of_an_early_failure_are_standard_json(self, tmp_path):
         # the svt's Gram matrix overflows in the first step, so the residuals
@@ -326,6 +338,19 @@ class TestGenerate:
         assert manifest["density_left"] == 0.3
         assert manifest["density_right"] == 0.5
         assert manifest["seed"] == 4
+
+    def test_rank_out_of_range_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "generate", "--rows", "6", "--cols", "6", "--rank", "0",
+            "--density-left", "0.5", "--density-right", "0.5", "--seed", "1",
+            "--rate-zero", "0.5", "--rate-nonzero", "0.5",
+            "--matrix-out", str(tmp_path / "m.csv"), "--mask-out", str(tmp_path / "k.csv"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "usage error: rank must lie in [1, min(n1, n2)] = [1, 6]"
+        )
+        assert not (tmp_path / "m.csv").exists()
 
     def test_degenerate_draw_is_data_error(self, tmp_path):
         code = run_cli(
