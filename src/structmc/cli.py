@@ -133,7 +133,8 @@ def cmd_complete(args) -> int:
     }
     write_manifest(args.diagnostics or args.output + ".diag.json", diagnostics)
     if result.status == NUMERICAL_FAILURE:
-        print(f"numerical failure after {result.iterations} iterations", file=sys.stderr)
+        steps = "iteration" if result.iterations == 1 else "iterations"
+        print(f"numerical failure after {result.iterations} {steps}", file=sys.stderr)
         return EXIT_NUMERICAL
     if result.status == MAX_ITERS:
         print(

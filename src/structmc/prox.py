@@ -131,8 +131,9 @@ def _svt_gram(m: np.ndarray, tau: float):
         return None
     cut = int(w.searchsorted(tau * tau, side="right"))
     kept = v[:, cut:]
-    block = v[:, max(cut - _WARM_EXTRA, 0):]
-    return ((m @ kept) * (1.0 - tau / np.sqrt(w[cut:]))) @ kept.T, block
+    scaled = m @ kept
+    scaled *= 1.0 - tau / np.sqrt(w[cut:])
+    return scaled @ kept.T, v[:, max(cut - _WARM_EXTRA, 0):]
 
 
 def soft_threshold(m: np.ndarray, tau: float, support: ObservationMask) -> np.ndarray:
@@ -144,7 +145,9 @@ def soft_threshold(m: np.ndarray, tau: float, support: ObservationMask) -> np.nd
     tau = _check_tau(tau)
     m = np.asarray(m, dtype=np.float64)
     _check_shape(m, support)
-    shrunk = np.maximum(np.abs(m) - tau, 0.0)
+    shrunk = np.abs(m)
+    shrunk -= tau
+    np.maximum(shrunk, 0.0, out=shrunk)
     return np.where(support.lookup, np.copysign(shrunk, m, out=shrunk), m)
 
 
@@ -164,7 +167,9 @@ def prox_obs_fit_quad(
     observed_values = np.asarray(observed_values, dtype=np.float64)
     _check_shape(m, mask)
     _check_shape(observed_values, mask)
-    blended = (m + tau * observed_values) / (1.0 + tau)
+    blended = tau * observed_values
+    np.add(m, blended, out=blended)
+    blended /= 1.0 + tau
     return np.where(mask.lookup, blended, m)
 
 

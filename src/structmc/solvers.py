@@ -44,6 +44,11 @@ next step starts from the plain point the extrapolation replaced and the
 history is cleared.  The history is also cleared on every penalty change,
 and restarts once full.
 
+A solve keeps only y = P_O(M), the Anderson history, the last and the
+current step output and residual, the start and the A block; every other
+array (a past step's blocks, a rejected or repeated step's output, a
+replaced start) is dropped before the next large allocation.
+
 At or above ``_WARM_SVT_MIN_DIM`` in both dimensions, the svt block of a step
 starts from the previous call's right singular block, the kept vectors plus
 a few more: one subspace step (Halko, Martinsson & Tropp, SIAM Rev. 2011),
@@ -266,13 +271,13 @@ def objective_value(
         # ||S||_1 holds both the data term on O and the alpha-term on Oc
         if sparse is None:
             raise ValueError("rpca-restricted objective needs the sparse component")
-        return value + problem.alpha * entrywise_l1(sparse)
+        return float(value + problem.alpha * entrywise_l1(sparse))
     if fit == "quad":
         residual = project(problem.observed_values - completed, problem.mask)
         value = 0.5 * float(np.einsum("ij,ij->", residual, residual)) + problem.rho * value
     if reg:
         value = value + problem.alpha * entrywise_l1(project(completed, problem.mask.complement()))
-    return value
+    return float(value)
 
 
 def _tolerances(cfg: SolverConfig, shape) -> tuple[float, float]:
@@ -420,7 +425,7 @@ def solve(
     ``_start``, a converged result of a problem with the same shape and data
     term, starts the loop from that result's final (A, Z, U, penalty) instead
     (a warm start, with an empty Anderson history); a ``_start`` that did
-    not converge is ignored.
+    not converge is ignored.  A numerical failure returns its step's start.
     """
     cfg = cfg or SolverConfig()
     y = project(problem.observed_values, problem.mask)
@@ -434,21 +439,21 @@ def solve(
         if exact:
             return svt(v, tau)
         out, block = _svt_warm(v, tau, block)
+        # a copy: the Gram route's block is a view of its whole eigenvector matrix
+        block = block.copy(order="K")
         return out
 
     x_step, z_step = _prox_pair(problem, y, threshold)
     if _start is not None and _start.status == CONVERGED:
-        a, z, u, pen = _start._state
+        _, z, u, pen = _start._state
     else:
-        a = z = y
-        u = np.zeros_like(z)
-        pen = cfg.admm_penalty
+        z, u, pen = y, np.zeros_like(y), cfg.admm_penalty
     ptol, dtol = _tolerances(cfg, problem.shape)
     memory = _ANDERSON_WARM_MEMORY if warm else _ANDERSON_MEMORY
     anderson = _Anderson(memory, problem.shape, np.float32 if warm else np.float64)
-    # the step's output (Z+, U+) and the point the next step starts from:
-    # the output or an extrapolation of it
-    f = x = np.stack((z, u))
+    # the point the next step starts from: the last step's output (Z+, U+)
+    # or an extrapolation of it
+    x = np.stack((z, u))
     extrapolated = False
     status = MAX_ITERS
     it = changes = accelerated = rejected = warm_steps = 0
@@ -456,6 +461,9 @@ def solve(
     try:
         for it in range(1, cfg.max_iters + 1):
             z_in, u_in = x
+            # the last step's blocks, and its output and residual unless the
+            # history holds them, are dead: drop them before this step allocates
+            a = z_new = f = g = u = None
             a = x_step(z_in - u_in, pen)
             z_new = z_step(a + u_in, pen)
             # g = f - x: (Z+ - Z, A - Z+), the second half also the primal residual
@@ -474,7 +482,7 @@ def solve(
                     break
                 # a warm step certifies nothing: repeat it from the same start
                 # with the exact svt, which every later step keeps
-                exact = True
+                exact, block = True, None
                 continue
             # ||g||, the fixed-point residual of this step
             gnorm = math.hypot(dznorm, rnorm)
@@ -485,6 +493,8 @@ def solve(
                 x = anderson.last[0]
                 extrapolated = False
                 continue
+            # the start is dead: drop it before the next one is built
+            x = z_in = u_in = None
             anderson.push(f, g)
             gnorm_prev = gnorm
             if changes < _MAX_PENALTY_CHANGES:
@@ -494,11 +504,16 @@ def solve(
                     pen = new_pen
                     f[1] = u
                     anderson.reset()
-            point = anderson.extrapolate()
-            extrapolated = point is not None
-            x = point if extrapolated else f
+            x = anderson.extrapolate()
+            extrapolated = x is not None
+            if not extrapolated:
+                x = f
     except NumericalError:
         status = NUMERICAL_FAILURE
+        # the failed step's blocks are gone: return its start
+        f, a = x, x[0]
+    # the final SVDs need only the returned blocks
+    anderson = x = z_in = u_in = g = z_new = None
     z, u = f
     fit = _FORMS[problem.formulation][0]
     low_rank, entrywise = (z, a) if fit == "quad" else (a, z)

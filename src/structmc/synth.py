@@ -305,4 +305,4 @@ def rho_for_noise(n1: int, n2: int, omega_size: int, sigma: float) -> float:
         raise ValueError(f"omega_size must be at least 1, got {omega_size}")
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    return (np.sqrt(n1) + np.sqrt(n2)) * np.sqrt(omega_size / (n1 * n2)) * sigma
+    return float((np.sqrt(n1) + np.sqrt(n2)) * np.sqrt(omega_size / (n1 * n2)) * sigma)

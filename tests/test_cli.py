@@ -270,7 +270,7 @@ class TestComplete:
             "--mode", "nnm-exact", "--output", str(tmp_path / "o.csv"),
         )
         assert code == 4
-        assert capsys.readouterr().err == "numerical failure after 1 iterations\n"
+        assert capsys.readouterr().err == "numerical failure after 1 iteration\n"
         diag = json.loads((tmp_path / "o.csv.diag.json").read_text())
         assert diag["status"] == "numerical-failure"
 

@@ -166,6 +166,60 @@ class TestEnforceObserved:
         np.testing.assert_array_equal(out, [[1.0, 9.0]])
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+IN_PLACE_PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+# entries a prox must pass through exactly: signed zeros, the threshold's own
+# edge, and non-finite values, which the solvers never feed but the proxes take
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+
+
+class TestInPlaceTemporaries:
+    """The proxes build their result in their own first temporary.
+
+    They leave every input unchanged (read-only inputs would raise) and give,
+    bit for bit, the expressions they were first written as.
+    """
+
+    @staticmethod
+    def _case(seed, shape, log_tau, special, density):
+        rng = stream(seed, "in-place-prox")
+        m = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        obs = rng.standard_normal(shape)
+        tau = 10.0**log_tau
+        where = rng.random(shape) < 0.2
+        m[where] = special * (tau if abs(special) == 1.0 else 1.0)
+        mask = ObservationMask.from_lookup(rng.random(shape) < density)
+        for a in (m, obs):
+            a.setflags(write=False)
+        return m, obs, tau, mask
+
+    @IN_PLACE_PROPERTY
+    @given(seed=st.integers(0, 2**31 - 1), shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+           log_tau=st.floats(-6.0, 3.0), special=_SPECIAL, density=st.floats(0.0, 1.0))
+    def test_soft_threshold_is_its_expression(self, seed, shape, log_tau, special, density):
+        m, _, tau, support = self._case(seed, shape, log_tau, special, density)
+        before = m.copy()
+        out = soft_threshold(m, tau, support)
+        expected = np.where(support.lookup, np.copysign(np.maximum(np.abs(m) - tau, 0.0), m), m)
+        np.testing.assert_array_equal(_bits(out), _bits(expected))
+        np.testing.assert_array_equal(_bits(m), _bits(before))
+
+    @IN_PLACE_PROPERTY
+    @given(seed=st.integers(0, 2**31 - 1), shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+           log_tau=st.floats(-6.0, 3.0), special=_SPECIAL, density=st.floats(0.0, 1.0))
+    def test_obs_fit_quad_is_its_expression(self, seed, shape, log_tau, special, density):
+        m, obs, tau, mask = self._case(seed, shape, log_tau, special, density)
+        before = m.copy(), obs.copy()
+        out = prox_obs_fit_quad(m, obs, mask, tau)
+        expected = np.where(mask.lookup, (m + tau * obs) / (1.0 + tau), m)
+        np.testing.assert_array_equal(_bits(out), _bits(expected))
+        np.testing.assert_array_equal(_bits(m), _bits(before[0]))
+        np.testing.assert_array_equal(_bits(obs), _bits(before[1]))
+
+
 def _random_pair(rng, shape):
     return rng.standard_normal(shape) * 2.0, rng.standard_normal(shape) * 2.0
 

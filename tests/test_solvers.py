@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,21 @@ class TestSolverContracts:
         assert a.objective == b.objective
         assert a.iterations == b.iterations
 
+    @pytest.mark.parametrize("formulation,kwargs", ALL_MODES)
+    def test_objective_and_rho_are_python_floats(self, formulation, kwargs):
+        # a weight given as an np.float64 must not make the objective one,
+        # or the result's repr reads objective=np.float64(...)
+        m, mask = _random_problem(36)
+        rho = rho_for_noise(*m.shape, mask.size, 0.1)
+        assert type(rho) is float
+        for weights in ({**kwargs, "rho": rho} if "rho" in kwargs else kwargs,
+                        {k: np.float64(v) for k, v in kwargs.items()}):
+            p = CompletionProblem(m, mask, formulation, **weights)
+            res = solve(p)
+            assert type(res.objective) is float, weights
+            assert type(objective_value(p, res.completed, res.sparse)) is float, weights
+            assert "np.float64" not in repr(res), weights
+
     def test_gram_svt_matches_svd_path_at_120(self, monkeypatch):
         _assert_gram_solves_match_svd_solves(monkeypatch, (120, 120))
 
@@ -611,6 +627,28 @@ class TestWarmStart:
         pen = cold._state[3]
         assert frobenius_norm(warm.completed - cold.completed) <= 2 * tol / pen
 
+    @pytest.mark.parametrize("formulation,kwargs", ALL_MODES)
+    def test_start_is_left_unchanged(self, formulation, kwargs):
+        # the harness's alpha path starts each solve from the last result,
+        # which it keeps: nothing the loop writes in place may reach it.
+        # 40 wide, so that the warm svt step runs too
+        m, mask = _random_problem(37, shape=(40, 40))
+        start = solve(CompletionProblem(m, mask, formulation, **kwargs))
+        assert start.status == CONVERGED
+        assert start.warm_svt_steps > 0
+        arrays = [start.completed, start.sparse, *start._state[:3]]
+        before = [None if a is None else a.copy() for a in arrays]
+        pen = start._state[3]
+        smaller = {k: v / 10 if k == "alpha" else v for k, v in kwargs.items()}
+        res = solve(CompletionProblem(m, mask, formulation, **smaller), _start=start)
+        assert res.status == CONVERGED
+        assert start._state[3] == pen
+        for a, b in zip(arrays, before):
+            if b is None:
+                assert a is None
+            else:
+                assert a.tobytes() == b.tobytes()
+
     def test_max_iters_start_is_ignored(self):
         m, mask = _random_problem(32)
         p = CompletionProblem(m, mask, "nnm-reg", alpha=0.1)
@@ -635,6 +673,33 @@ class TestWarmStart:
         assert warm.status == CONVERGED
         assert warm.iterations == cold.iterations
         assert np.array_equal(warm.completed, cold.completed)
+
+
+class TestPeakMemory:
+    """What a solve holds at once, counted in n x n float64 arrays."""
+
+    # the loop keeps y, the single-precision Anderson history (6), the last
+    # and the current step output and residual (8), the start (2) and A: 18,
+    # and a step's temporaries come on top.  It peaks at 19.9-20.1 here; a
+    # loop that also kept its dead arrays peaked at 20.7-24.2
+    MAX_ARRAYS = 22.0
+
+    def test_solve_peak_is_bounded(self):
+        n = 120
+        problems = _rank4_problems((n, n))  # its check solve is the first-call set-up
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for formulation, p in problems:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                res = solve(p)
+                peaks[formulation] = (tracemalloc.get_traced_memory()[1] - start) / (8 * n * n)
+                assert res.status == CONVERGED, formulation
+                assert res.warm_svt_steps > 0, formulation
+        finally:
+            tracemalloc.stop()
+        assert max(peaks.values()) <= self.MAX_ARRAYS, peaks
 
 
 class TestOracle:
