@@ -15,10 +15,11 @@ File conventions
 
 Floats are serialized with :func:`repr`, which round-trips float64 exactly.
 Text files are read as UTF-8; a leading byte-order mark, as spreadsheet
-"CSV UTF-8" exports write, is skipped.  Both CSV readers parse a file of plain
-numbers in one numpy pass, linear in its size, that reads ``\\r\\n`` as ``\\n``
-and skips blank lines; any other file goes through a loop that names its first
-bad cell.
+"CSV UTF-8" exports write, is skipped.  Both CSV readers first read the file
+with numpy's CSV reader (``np.loadtxt``), which reads ``\\r\\n`` and ``\\r`` as
+``\\n`` and skips blank lines; the matrix reader takes each cell's value from
+one rule, :func:`_cell_value`.  A file numpy cannot read whole goes through a
+loop that names its first bad cell.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import io
 import json
 import math
 import os
+import warnings
 from dataclasses import MISSING
 
 import numpy as np
@@ -103,20 +105,32 @@ def ingest_matrix_csv(path, policy: str = "strict"):
 
     Policy "strict": empty cells are an error (complete ground-truth files);
     mask comes back None.  Policy "mask": empty cells are unobserved (0.0
-    placeholder) and the returned mask excludes them.  Both parsers return a
-    float table with NaN in each empty cell, and only this function turns
-    NaN into the mask and the placeholder.  numpy parses a file of plain
-    numbers in one pass over the whole file; any other file, and every file
-    with an error, goes through the cell loop, which names the first bad cell.
+    placeholder) and the returned mask excludes them.  numpy's CSV reader,
+    and for any file it cannot read whole the cell loop that names the first
+    bad cell, take each value from :func:`_cell_value`: NaN when empty.
     """
     if policy not in ("strict", "mask"):
         raise ValueError(f"unknown empty-cell policy {policy!r}")
-    table = _plain_table(path, b"0123456789.eE+-", np.float64)
-    if table is None or np.isinf(table).any() or (policy == "strict" and np.isnan(table).any()):
+    table = _numpy_table(path, converters=_cell_value)
+    if table is None or (policy == "strict" and np.isnan(table).any()):
         table = _parse_matrix_cells(path, policy)
     unobserved = np.isnan(table)
     table[unobserved] = 0.0
     return as_matrix(table), None if policy == "strict" else ObservationMask(~unobserved)
+
+
+def _cell_value(text: str) -> float:
+    """A matrix cell's value: NaN when empty after stripping, else a finite float."""
+    text = text.strip()
+    if not text:
+        return math.nan
+    try:
+        v = float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value: {text!r}")
+    return v
 
 
 def _text(path, error=ValueError):
@@ -130,61 +144,32 @@ def _text(path, error=ValueError):
         raise error(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
-def _plain_table(path, digits: bytes, dtype):
-    """The table of a file of numbers spelled with ``digits``, NaN in each empty cell; else None.
-
-    One pass over the whole file, linear in its size.  Deleting ``digits``
-    must leave only commas and newlines, the same commas on every line, so
-    whitespace, quotes, words (``nan``, ``inf``) and ragged rows go to the loop
-    that names the bad cell.  An int64 parse rejects the NaN of an empty
-    cell, and saturates a too-long index at 2**63 - 1.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read().removeprefix(b"\xef\xbb\xbf")
-    if b"\r" in data:  # one-byte scans first: a plain "\n" file pays for no two-byte one
-        data = data.replace(b"\r\n", b"\n")
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    seps = data.translate(None, digits)
-    if b"\n\n" in seps or seps.startswith(b"\n"):  # maybe blank lines, which csv skips
-        while b"\n\n" in data:
-            data = data.replace(b"\n\n", b"\n")
-        data = data.removeprefix(b"\n")
-        seps = data.translate(None, digits)
-    first = seps[: seps.find(b"\n") + 1]
-    if not data or seps.translate(None, b",\n") or seps != first * seps.count(b"\n"):
-        return None
-    # the cells after a dummy one, so that every empty cell, the first too, reads NaN
-    data = (b"0," + data.replace(b"\n", b",")).replace(b",,", b",nan,").replace(b",,", b",nan,")
-    try:
-        cells = np.fromstring(data, dtype=dtype, sep=",")
-    except (ValueError, DeprecationWarning):  # a bad cell; numpy 1.x may only warn and stop short
-        return None
-    return cells[1:].reshape(-1, len(first)) if cells.size == len(seps) + 1 else None
+def _numpy_table(path, **kwargs):
+    """The file's table as numpy's CSV reader reads it whole; None on a bad cell or any
+    warning (an empty file; numpy 1.x may warn where 2.x raises)."""
+    with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, **kwargs)
+        except (ValueError, Warning):
+            return None
 
 
 def _parse_matrix_cells(path, policy: str):
     """The cell loop: the float table, NaN in each empty cell, or the first bad cell's error."""
     rows: list[list[float]] = []
     with _text(path) as fh:
-        reader = csv.reader(fh)
-        for i, raw in enumerate(reader):
+        for i, raw in enumerate(csv.reader(fh)):
             if not raw:
                 continue  # ignore trailing blank lines
             values = []
             for j, cell in enumerate(raw):
-                text = cell.strip()
-                if text == "":
-                    if policy == "strict":
-                        raise CsvParseError(path, i, j, "empty cell in a complete matrix")
-                    values.append(math.nan)
-                    continue
                 try:
-                    v = float(text)
-                except ValueError:
-                    raise CsvParseError(path, i, j, f"not a number: {text!r}") from None
-                if not math.isfinite(v):
-                    raise CsvParseError(path, i, j, f"non-finite value: {text!r}")
+                    v = _cell_value(cell)
+                except ValueError as exc:
+                    raise CsvParseError(path, i, j, str(exc)) from None
+                if policy == "strict" and math.isnan(v):
+                    raise CsvParseError(path, i, j, "empty cell in a complete matrix")
                 values.append(v)
             if rows and len(values) != len(rows[0]):
                 raise CsvParseError(
@@ -198,20 +183,22 @@ def _parse_matrix_cells(path, policy: str):
 
 
 def emit_mask_csv(path, mask: ObservationMask) -> None:
-    """Write observed index pairs, one ``i,j`` line per entry, row-major."""
-    _write_rows(path, np.argwhere(mask.lookup).tolist())
+    """Write observed index pairs, one ``i,j`` line per entry, row-major, a row at a time."""
+    with open(path, "w", newline="") as fh:
+        for i, row in enumerate(mask.lookup):
+            fh.writelines(f"{i},{j}\n" for j in np.flatnonzero(row).tolist())
 
 
 def ingest_mask_csv(path, rows: int, cols: int) -> ObservationMask:
     """Read an index-pair CSV into a mask for a ``rows x cols`` matrix.
 
-    Every pair must lie inside the matrix and none may repeat.  numpy parses
-    a file of ``i,j`` lines of plain digits in one pass over the whole file;
-    when its pairs pass both checks that read is the only one.  Any other
-    file goes through the line loop, which names the line of the first bad pair.
+    Every pair must lie inside the matrix and none may repeat.  numpy's CSV
+    reader reads a file of ``i,j`` integer lines whole; when its pairs pass
+    both checks that read is the only one.  Any other file goes through the
+    line loop, which names the line of the first bad pair.
     """
-    pairs = _plain_table(path, b"0123456789", np.int64)
-    if pairs is not None and pairs.shape[1] == 2 and (pairs.max(0) < (rows, cols)).all():
+    pairs = _numpy_table(path, dtype=np.int64)
+    if pairs is not None and pairs.shape[1] == 2 and ((0 <= pairs) & (pairs < (rows, cols))).all():
         lookup = np.zeros(rows * cols, dtype=bool)
         lookup[pairs[:, 0] * cols + pairs[:, 1]] = True
         if np.count_nonzero(lookup) == len(pairs):  # no pair repeats

@@ -28,8 +28,9 @@ from structmc import (
 from structmc import dataio
 from structmc.dataio import (
     _SCHEMA,
+    _cell_value,
+    _numpy_table,
     _parse_matrix_cells,
-    _plain_table,
     emit_mask_csv,
     emit_matrix_csv,
     fmt_float,
@@ -144,7 +145,7 @@ def _outcome(read):
 
 
 def _plain_matrix(path):
-    return _plain_table(path, b"0123456789.eE+-", np.float64)
+    return _numpy_table(path, converters=_cell_value)
 
 
 def _cell_loop(path, policy):
@@ -158,7 +159,20 @@ CSV_PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 CELLS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
          | st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.25g}")
          | st.sampled_from(["", "", "1", "-0.0", "1e-05", "007", "+1", "1e400", "nan", "inf",
-                            " ", " 1", "1_0", '"3"', "x", "-", ".", "1e", "1.2.3", "0x10"]))
+                            " ", " 1", "1_0", '"3"', "x", "-", ".", "1e", "1.2.3", "0x10",
+                            "#1", "\t1", "1 "]))
+# line ends, a byte-order mark, and a line that is empty or only whitespace, put anywhere
+ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+BOM = st.sampled_from(["", "\ufeff"])
+EXTRA_LINE = st.tuples(st.sampled_from([None, "", " ", "\t "]), st.integers(0, 5))
+
+
+def _csv_bytes(lines, end, bom, extra_line, final_end=True):
+    text, at = extra_line
+    lines = list(lines)
+    if text is not None:
+        lines.insert(at, text)
+    return (bom + end.join(lines) + (end if final_end else "")).encode()
 
 
 class TestMatrixCsvNumpyParse:
@@ -166,12 +180,13 @@ class TestMatrixCsvNumpyParse:
 
     @CSV_PROPERTY
     @given(rows=st.lists(st.lists(CELLS, min_size=1, max_size=4), min_size=1, max_size=4),
-           policy=st.sampled_from(["mask", "strict"]), blank_line=st.booleans(),
-           end=st.sampled_from(["\n", "\r\n"]))
-    def test_matches_the_cell_loop(self, tmp_path_factory, rows, policy, blank_line, end):
+           policy=st.sampled_from(["mask", "strict"]), extra_line=EXTRA_LINE, end=ENDS,
+           bom=BOM)
+    @example(rows=[["1", "#1"], ["2", "3"]], policy="mask", extra_line=(None, 0), end="\n",
+             bom="")  # "#" starts no comment
+    def test_matches_the_cell_loop(self, tmp_path_factory, rows, policy, extra_line, end, bom):
         path = tmp_path_factory.mktemp("csv") / "m.csv"
-        lines = [",".join(row) for row in rows] + ([""] if blank_line else [])
-        path.write_bytes((end.join(lines) + end).encode())
+        path.write_bytes(_csv_bytes(map(",".join, rows), end, bom, extra_line))
         assert _outcome(lambda: ingest_matrix_csv(path, policy)) == _outcome(
             lambda: _cell_loop(path, policy))
 
@@ -198,12 +213,13 @@ class TestMatrixCsvNumpyParse:
         np.testing.assert_array_equal(np.isnan(table), ~mask.lookup)
         assert table[mask.lookup].tobytes() == m[mask.lookup].tobytes()
 
-    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
-    def test_plain_file_never_reaches_the_cell_loop(self, tmp_path, monkeypatch, end):
+    @pytest.mark.parametrize("head, end", [("", "\n"), ("", "\r\n"), ("", "\r"), ("\ufeff", "\n")],
+                             ids=["lf", "crlf", "cr", "bom"])
+    def test_plain_file_never_reaches_the_cell_loop(self, tmp_path, monkeypatch, head, end):
         m = stream(5, "plain-matrix").standard_normal((200, 200))
         mask = ObservationMask(stream(5, "plain-matrix-mask").random((200, 200)) < 0.6)
         path = tmp_path / "m.csv"
-        path.write_bytes("".join(
+        path.write_bytes(head.encode() + "".join(
             ",".join(repr(v) if k else "" for v, k in zip(row, keep)) + end
             for row, keep in zip(m.tolist(), mask.lookup.tolist())).encode())
 
@@ -312,16 +328,23 @@ class TestMaskCsvNumpyParse:
     @CSV_PROPERTY
     @given(lines=st.lists(st.lists(
         st.integers(0, 3).map(str) | st.sampled_from(["007", " 1", "-1", "1.0", "", "x",
-                                                      "99999999999999999999"]),
+                                                      "99999999999999999999", "#1", "\t1",
+                                                      "1 ", "+1", "1_0", " 1 ", "-0"]),
         min_size=1, max_size=3).map(",".join), max_size=5), final_newline=st.booleans(),
-        end=st.sampled_from(["\n", "\r\n"]))
-    @example(lines=["1,2", "99999999999999999999,1"], final_newline=True, end="\n")  # > int64
-    @example(lines=["0,0,0", "1"], final_newline=False, end="\n")  # as many commas as pairs
-    @example(lines=["", "1,2", "", "", "3,1"], final_newline=True, end="\r\n")  # blank lines
-    def test_matches_the_line_loop(self, tmp_path_factory, lines, final_newline, end):
+        end=ENDS, bom=BOM, extra_line=EXTRA_LINE)
+    @example(lines=["1,2", "99999999999999999999,1"], final_newline=True, end="\n", bom="",
+             extra_line=(None, 0))  # > int64
+    @example(lines=["0,0,0", "1"], final_newline=False, end="\n", bom="",
+             extra_line=(None, 0))  # as many commas as pairs
+    @example(lines=["", "1,2", "", "", "3,1"], final_newline=True, end="\r\n", bom="",
+             extra_line=(None, 0))  # blank lines
+    @example(lines=["1,2", "#1"], final_newline=True, end="\n", bom="",
+             extra_line=(None, 0))  # "#" starts no comment
+    def test_matches_the_line_loop(self, tmp_path_factory, lines, final_newline, end, bom,
+                                   extra_line):
         path = tmp_path_factory.mktemp("mask") / "k.csv"
-        path.write_bytes((end.join(lines) + (end if final_newline else "")).encode())
-        with mock.patch.object(dataio, "_plain_table", lambda *args: None):  # the loop alone
+        path.write_bytes(_csv_bytes(lines, end, bom, extra_line, final_newline))
+        with mock.patch.object(dataio, "_numpy_table", lambda *args, **kwargs: None):  # the loop
             expected = _outcome(lambda: (np.zeros(1), ingest_mask_csv(path, 4, 4)))
         assert _outcome(lambda: (np.zeros(1), ingest_mask_csv(path, 4, 4))) == expected
 
@@ -336,8 +359,8 @@ class TestMaskCsvNumpyParse:
             raise AssertionError("the line loop read a plain mask file")
 
         monkeypatch.setattr(dataio, "_text", no_line_loop)
-        for end in (b"\n", b"\r\n"):
-            data = lf.replace(b"\n", end)
+        for head, end in ((b"", b"\n"), (b"", b"\r\n"), (b"", b"\r"), (b"\xef\xbb\xbf", b"\n")):
+            data = head + lf.replace(b"\n", end)
             path.write_bytes(data if final_newline else data.removesuffix(end))
             assert ingest_mask_csv(path, 200, 200) == mask
 
@@ -361,48 +384,55 @@ class TestMaskCsvNumpyParse:
         assert observed == np.count_nonzero(lookup) >= 500_000
         assert grown_kb * 1024 < 8 * path.stat().st_size
 
+    def test_large_mask_writes_in_constant_memory(self, tmp_path):
+        """Writing a 600,000-pair mask peaks less than its file size above the writer's start."""
+        path = tmp_path / "k.csv"
+        script = "\n".join([
+            "import resource, sys",
+            "import numpy as np",
+            "from structmc import ObservationMask, stream",
+            "from structmc.dataio import emit_mask_csv",
+            "rng, lookup = stream(6, 'large-mask'), np.zeros((1000, 1000), dtype=bool)",
+            "for row in lookup:",
+            "    row[:] = rng.random(1000) < 0.6",  # one draw of the whole table would raise
+            # the peak before the write starts, and hide the write's growth below it
+            "mask = ObservationMask(lookup)",
+            "start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+            "emit_mask_csv(sys.argv[1], mask)",
+            "print(lookup.sum(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start)"])
+        src = str(Path(dataio.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                              text=True, timeout=120, check=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        observed, grown_kb = map(int, proc.stdout.split())
+        assert observed == path.read_bytes().count(b"\n") >= 500_000
+        assert grown_kb * 1024 < path.stat().st_size
 
-def _numpy_1_fromstring(data, dtype, sep):
-    """``np.fromstring`` as numpy 1.x runs it: at the first cell that is not one
-    number it warns, and returns the cells before that one."""
-    cells = []
-    for text in data.decode().split(sep)[:-1]:
-        try:
-            cells.append(dtype(text))
-        except ValueError:
-            warnings.warn("string or file could not be read to its end", DeprecationWarning)
-            break
-    return np.array(cells, dtype=dtype)
 
-
-class TestPlainTableOnNumpy1:
-    """A bad cell at the start of a later row leaves a cut-off parse that
-    reshapes cleanly; the reader must still see that the file is not plain."""
+class TestNumpyTableOnNumpy1:
+    """numpy 1.x may only warn at a bad cell where 2.x raises, and still return a
+    table that passes every check; the readers must take their loops all the same."""
 
     @pytest.mark.parametrize("action", ["ignore", "error"])
-    @pytest.mark.parametrize("text, digits, dtype", [
-        ("0,1\n,3\n5,6\n", b"0123456789", np.int64),
-        ("1,2\n3,4\n.,6\n", b"0123456789.eE+-", np.float64),
+    @pytest.mark.parametrize("text, plausible, read, message", [
+        ("0,1\n,3\n5,6\n", [[0, 1], [0, 3], [5, 6]], lambda path: ingest_mask_csv(path, 8, 8),
+         "row 1, col 0: indices must be integers"),
+        ("1,2\n3,4\n.,6\n", [[1.0, 2.0], [3.0, 4.0], [0.0, 6.0]], ingest_matrix_csv,
+         "row 2, col 0: not a number: '.'"),
     ], ids=["mask", "matrix"])
-    def test_a_cut_off_parse_is_not_a_table(self, tmp_path, monkeypatch, action, text,
-                                            digits, dtype):
+    def test_a_warning_takes_the_loop(self, tmp_path, monkeypatch, action, text, plausible,
+                                      read, message):
+        def numpy_1_loadtxt(fh, dtype=float, **kwargs):
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return np.array(plausible, dtype=dtype)
+
         path = tmp_path / "t.csv"
         path.write_text(text)
-        monkeypatch.setattr(np, "fromstring", _numpy_1_fromstring)
+        monkeypatch.setattr(np, "loadtxt", numpy_1_loadtxt)
         with warnings.catch_warnings():
             warnings.simplefilter(action, DeprecationWarning)
-            assert _plain_table(path, digits, dtype) is None
-
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_the_loops_name_the_bad_cell(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(np, "fromstring", _numpy_1_fromstring)
-        path = tmp_path / "t.csv"
-        path.write_text("0,1\n,3\n5,6\n")
-        with pytest.raises(ValueError, match="row 1, col 0"):
-            ingest_mask_csv(path, 8, 8)
-        path.write_text("1,2\n3,4\n.,6\n")
-        with pytest.raises(CsvParseError, match="row 2, col 0"):
-            ingest_matrix_csv(path)
+            with pytest.raises(CsvParseError, match=re.escape(message)):
+                read(path)
 
 
 class TestNotUtf8:
