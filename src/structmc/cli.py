@@ -38,6 +38,7 @@ from .solvers import (
     NEEDS_RHO,
     CompletionProblem,
     SolverConfig,
+    _one_blas_thread,
     solve,
     solve_rpca_restricted,
 )
@@ -130,6 +131,7 @@ def cmd_complete(args) -> int:
         "observed": mask.size,
         **{f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.repr},
         "solver": dataclasses.asdict(cfg),
+        "one_blas_thread": _one_blas_thread.switch is not None,
     }
     write_manifest(args.diagnostics or args.output + ".diag.json", diagnostics)
     if result.status == NUMERICAL_FAILURE:
@@ -237,6 +239,7 @@ def cmd_benchmark(args) -> int:
         "blas_name": blas.get("name"),
         "blas_version": blas.get("version"),
         **{n.lower(): os.environ.get(n) for n in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "one_blas_thread": _one_blas_thread.switch is not None,
     }
     write_manifest(os.path.join(args.outdir, "manifest.json"), manifest)
     if n_failed:

@@ -25,11 +25,9 @@ are redrawn with an incremented attempt counter, at most 8 times.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import logging
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,7 +35,7 @@ import numpy as np
 from .errors import InvalidSamplingError
 from .matrix import as_matrix, frobenius_norm
 from .metrics import ratio_from_errors
-from .solvers import CompletionProblem, SolverConfig, _tolerances, solve
+from .solvers import CompletionProblem, SolverConfig, _one_blas_thread, _tolerances, solve
 from .synth import (
     GeneratorSpec,
     SamplingSpec,
@@ -165,6 +163,7 @@ def _exact_tol(solver_cfg: SolverConfig, shape) -> float:
     return max(1e-12, _tolerances(solver_cfg, shape)[0])
 
 
+@_one_blas_thread
 def _score_cell(truth, observed, mask, alphas, noise_sigma, solver_cfg):
     """Solve baseline and per-alpha regularized problems, pick the best alpha.
 
@@ -273,41 +272,14 @@ class GridResult:
     failures: np.ndarray
 
 
-# BLAS thread-count variables that sweep workers get as 1 when none is set
-_WORKER_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-@contextlib.contextmanager
-def _one_blas_thread_per_process():
-    """Set both BLAS thread-count variables to 1 if neither is set, restore on exit.
-
-    The workers of a sweep already fill the cores.  Default BLAS threads of
-    several processes on shared cores wait on each other: ``eigh`` of a
-    30x30 Gram matrix, as in svt, took 1.8-9.5 ms in each of two processes on
-    two cores against 0.15 ms in one process.  Workers are spawned, not
-    forked, so that each reads these variables when it loads numpy.  A caller
-    who set either variable chose the thread count, and both stay as they
-    are: OpenBLAS reads ``OPENBLAS_NUM_THREADS`` before ``OMP_NUM_THREADS``,
-    so a 1 in the first would override the caller's second.
-    """
-    caller_set = any(name in os.environ for name in _WORKER_BLAS_THREADS)
-    unset = () if caller_set else _WORKER_BLAS_THREADS
-    os.environ.update(dict.fromkeys(unset, "1"))
-    try:
-        yield
-    finally:
-        for name in unset:
-            os.environ.pop(name, None)
-
-
 def _run_sweep(spec, worker, payload, workers) -> GridResult:
     """Run ``worker(*payload(cell, trial))`` for every (cell, trial) and aggregate.
 
     Tasks run and are reduced in cell-major order, so the records of a cell
     are ``spec.trials`` consecutive ones.  ``workers`` > 1 runs them in that
-    many spawned processes, with one BLAS thread each unless the caller set a
-    thread-count variable.  Any exception a task raises, including a broken
-    worker pool, becomes that task's failure record, and every finished
+    many spawned processes.  Trials score on one BLAS thread, so a thread count
+    the caller set changes no record.  Any exception a task raises, including a
+    broken worker pool, becomes that task's failure record, and every finished
     record is kept.  Raises ValueError for ``workers`` < 1.
     """
     if workers < 1:
@@ -327,12 +299,9 @@ def _run_sweep(spec, worker, payload, workers) -> GridResult:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            # spawned pools start their workers on submit, so the limit
-            # stays set until every task is submitted
-            with _one_blas_thread_per_process():
-                pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-                futures = [pool.submit(worker, *p) for p in payloads]
-            outcomes = (fut.result for fut in futures)
+            # spawned, not forked: a fork of a process whose BLAS threads run needs care
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+            outcomes = [pool.submit(worker, *p).result for p in payloads]
         else:
             outcomes = (functools.partial(worker, *p) for p in payloads)
         for (cell, trial), outcome in zip(tasks, outcomes):

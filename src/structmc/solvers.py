@@ -72,11 +72,10 @@ fit because the standard weight r = (sqrt(n1)+sqrt(n2))*sqrt(|O|/(n1*n2))*sigma
 is an operator-norm estimate of the masked noise, which is exactly the
 quadratic form's shrink-to-zero threshold: with the unsquared fit that weight
 over-shrinks everything at realistic noise levels.  Solvers are deterministic
-(no randomness anywhere) and hold no shared state, so distinct calls may run
-concurrently.  They are not single-threaded: the BLAS under svt runs as many
-threads as it is configured for (OpenBLAS defaults to one per core), but the
-residual norms and the quadratic term are ``np.einsum`` sums, which do not
-depend on the thread count as an OpenBLAS dot product does.
+(no randomness anywhere) and switch numpy's OpenBLAS to one thread: from 300
+wide, its eigh, SVD and products give other bytes on two.  Concurrent calls
+share the switch, and the last to leave restores the caller's count.  Without
+a known switch (not OpenBLAS), solves run unchanged.
 
 :func:`oracle_solve` is an independent check for tiny instances: BFGS on
 the objective with its kinks smoothed, the smoothing lowered by decades from
@@ -85,7 +84,10 @@ the objective with its kinks smoothed, the smoothing lowered by decades from
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,6 +156,34 @@ _ANDERSON_REG = 1e-5
 # time over exact, best of 5: n = 30 1.32/0.92/1.53, 35 1.07/1.04/0.71,
 # 40 0.90/0.82/0.83, 45 0.71/0.81/0.76, so from 40 on every family wins
 _WARM_SVT_MIN_DIM = 40
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """One BLAS thread inside, the caller's count back after; a no-op if ``switch`` is None."""
+
+    PAIRS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+             ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+    def __init__(self, lib):
+        pairs = [p for p in self.PAIRS if all(hasattr(lib, name) for name in p)]
+        self.switch = [getattr(lib, name) for name in pairs[0]] if pairs else None
+        self.lock, self.depth, self.saved = threading.Lock(), 0, 0
+
+    def __enter__(self):
+        with self.lock:
+            self.depth += 1
+            if self.switch and self.depth == 1:
+                self.saved = self.switch[0]()
+                self.switch[1](1)
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self.depth -= 1
+            if self.switch and not self.depth:
+                self.switch[1](self.saved)
+
+
+_one_blas_thread = _OneBlasThread(ctypes.CDLL(np.linalg._umath_linalg.__file__))
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,6 +444,7 @@ class _Anderson:
         return f - (gamma.astype(dt, copy=False) @ self.df[:k]).reshape(f.shape)
 
 
+@_one_blas_thread
 def solve(
     problem: CompletionProblem, cfg: SolverConfig | None = None, *, _start: SolveResult | None = None
 ) -> SolveResult:

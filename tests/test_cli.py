@@ -71,7 +71,7 @@ class TestComplete:
             "mode", "alpha", "rho", "sigma", "rows", "cols", "observed", "solver",
             "objective", "iterations", "primal_residual", "dual_residual", "status",
             "rank_estimate", "penalty_changes", "accelerated_steps", "rejected_steps",
-            "warm_svt_steps",
+            "warm_svt_steps", "one_blas_thread",
         }
 
     def test_one_missing_cell_completes_to_one(self, tmp_path):
@@ -421,26 +421,36 @@ class TestBenchmark:
     def test_output_does_not_depend_on_the_blas_thread_count(self, tmp_path):
         """One and two OpenBLAS threads write the same files, byte for byte.
 
-        Cases: a sweep of 30x30 solves, and one 200x200 ``complete``.
-        OpenBLAS splits a dot product of more than 10,000 entries between
-        its threads, which changes its summation order, so a 200x200 solve
-        sums its residual norms and its objective's quadratic term without
-        BLAS.  Its 200x200 SVDs give the same bits on one and two threads.
+        Cases: sweeps of 10x10 and 110x110 truths, a 200x200 and a 300x300
+        ``complete``.  OpenBLAS splits a dot product of more than 10,000
+        entries between its threads, which changes its summation order, as
+        in the error norms of the 110x110 sweep; from 300 wide its eigh, SVD
+        and matrix products round otherwise on two threads.  Every solve and
+        every trial's scoring run on one BLAS thread, whatever the caller set.
         """
-        cfg, truth, mask = tmp_path / "cfg.ini", tmp_path / "truth.csv", tmp_path / "mask.csv"
+        cfg, wide_cfg = tmp_path / "cfg.ini", tmp_path / "wide.ini"
         cfg.write_text(SYNTH_CONFIG.replace("zero_rates = 0.3", "zero_rates = 0.3, 0.6"))
-        assert run_cli("generate", "--rows", "200", "--cols", "200", "--rank", "5",
-                       "--density-left", "0.3", "--density-right", "0.5",
-                       "--rate-zero", "0.1", "--rate-nonzero", "0.9",
-                       "--matrix-out", str(truth), "--mask-out", str(mask)) == 0
+        # noisy: the noiseless trial's error norms came out the same on two threads
+        wide_cfg.write_text(SYNTH_CONFIG.replace("= 10\n", "= 110\n").replace(
+            "nonzero_rates", "noise_sigma = 0.1\nnonzero_rates"))
+        sweep = ("results.csv", "heatmap_ratio.csv", "heatmap_alpha.csv")
         # each case: its command line, a directory to finish it, and the files it writes
         cases = [
-            (["benchmark", "--config", str(cfg), "--workers", "1", "--outdir"], "",
-             ("results.csv", "heatmap_ratio.csv", "heatmap_alpha.csv")),
-            (["complete", "--input", str(truth), "--mask", str(mask), "--mode", "nnm-noisy-reg",
-              "--alpha", "0.01", "--sigma", "0.1", "--output"], "completed.csv",
-             ("completed.csv", "completed.csv.diag.json")),
+            (["benchmark", "--config", str(cfg), "--workers", "1", "--outdir"], "", sweep),
+            (["benchmark", "--config", str(wide_cfg), "--workers", "1", "--outdir"], "", sweep),
         ]
+        for n, (zero, nonzero), mode in (
+            (200, ("0.1", "0.9"), ["nnm-noisy-reg", "--alpha", "0.01", "--sigma", "0.1"]),
+            (300, ("0.3", "0.3"), ["nnm-exact"]),
+        ):
+            truth, mask = tmp_path / f"truth{n}.csv", tmp_path / f"mask{n}.csv"
+            assert run_cli("generate", "--rows", str(n), "--cols", str(n), "--rank", "5",
+                           "--density-left", "0.3", "--density-right", "0.5",
+                           "--rate-zero", zero, "--rate-nonzero", nonzero,
+                           "--matrix-out", str(truth), "--mask-out", str(mask)) == 0
+            cases.append((["complete", "--input", str(truth), "--mask", str(mask), "--mode", *mode,
+                           "--output"], "completed.csv",
+                          ("completed.csv", "completed.csv.diag.json")))
         script = "import sys; from structmc.cli import main; print(main(sys.argv[1:]))"
         for k, (argv, target, names) in enumerate(cases):
             outputs = []
@@ -450,7 +460,7 @@ class TestBenchmark:
                 assert run_python(script, *argv, str(outdir / target),
                                   OPENBLAS_NUM_THREADS=threads) == "0"
                 outputs.append([(outdir / name).read_bytes() for name in names])
-            assert outputs[0] == outputs[1], argv[0]
+            assert outputs[0] == outputs[1], argv[:3]
 
     def test_percent_in_matrix_name(self, tmp_path):
         # values are literal: configparser's % interpolation would reject "a%b"
@@ -508,6 +518,8 @@ class TestBenchmark:
         assert manifest["numpy_version"] == np.__version__
         assert manifest["openblas_num_threads"] == "1"
         assert manifest["omp_num_threads"] is None
+        # numpy's OpenBLAS exports the switch that pins each solve to one thread
+        assert manifest["one_blas_thread"] is ("openblas" in blas["name"])
 
     def test_manifest_records_the_generator(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

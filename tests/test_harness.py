@@ -1,8 +1,6 @@
 import dataclasses
 import logging
 import math
-import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -411,34 +409,7 @@ class TestSolverConfigThreading:
         assert rec.status_baseline == "max-iters"
 
 
-def _report_blas_thread_vars():
-    # a spawned worker loaded numpy after these variables were set; a forked
-    # one inherits the parent's BLAS threads whatever they say.  The report
-    # travels back as the failed record's error.
-    start = multiprocessing.get_start_method(allow_none=True)
-    raise RuntimeError(repr((start, *(os.environ.get(n) for n in harness._WORKER_BLAS_THREADS))))
-
-
 class TestSweepExecutor:
-    def test_workers_run_one_blas_thread(self, monkeypatch):
-        for name in harness._WORKER_BLAS_THREADS:
-            monkeypatch.delenv(name, raising=False)
-        result = harness._run_sweep(small_grid(), _report_blas_thread_vars, lambda *_: (), 2)
-        assert [r.error for r in result.records] == [repr(("spawn", "1", "1"))] * 2
-        assert not any(name in os.environ for name in harness._WORKER_BLAS_THREADS)
-
-    @pytest.mark.parametrize("kept", harness._WORKER_BLAS_THREADS)
-    def test_one_caller_thread_variable_leaves_both_alone(self, monkeypatch, kept):
-        # OpenBLAS reads OPENBLAS_NUM_THREADS first, so a 1 there would
-        # override a caller's OMP_NUM_THREADS=2
-        for name in harness._WORKER_BLAS_THREADS:
-            monkeypatch.delenv(name, raising=False)
-        monkeypatch.setenv(kept, "2")
-        with harness._one_blas_thread_per_process():
-            seen = {name: os.environ.get(name) for name in harness._WORKER_BLAS_THREADS}
-        assert seen == {name: "2" if name == kept else None
-                        for name in harness._WORKER_BLAS_THREADS}
-
     def test_unexpected_trial_error_keeps_finished_records(self, monkeypatch):
         real_run_cell = harness.run_cell
 

@@ -1,7 +1,9 @@
 import dataclasses
 import math
 import sys
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from structmc import (
     solve_rpca_restricted,
     stream,
 )
+from structmc import solvers
 from structmc.errors import OracleBudgetError
 from structmc.solvers import estimate_rank
 
@@ -775,3 +778,60 @@ class TestOracle:
         p = CompletionProblem(m, mask, "nnm-noisy", rho=0.5)  # 64 unknowns
         with pytest.raises(OracleBudgetError):
             oracle_solve(p)
+
+
+@pytest.fixture
+def caller_threads():
+    """Set the process's BLAS thread count above 1, read back; the old count after."""
+    if solvers._one_blas_thread.switch is None:
+        pytest.skip("numpy's BLAS exports no thread-count switch")
+    get, set_ = solvers._one_blas_thread.switch
+    saved = get()
+    set_(3)
+    yield get()
+    set_(saved)
+
+
+class TestOneBlasThread:
+    """Each solve runs on one BLAS thread and gives the caller's count back."""
+
+    def test_solve_leaves_the_callers_thread_count(self, caller_threads):
+        get = solvers._one_blas_thread.switch[0]
+        m, mask = _random_problem(3, shape=(8, 8))
+        for formulation, kwargs in ALL_MODES:
+            solve(CompletionProblem(m, mask, formulation, **kwargs))
+            assert get() == caller_threads, formulation
+
+    def test_overlapping_entries_share_one_switch(self, caller_threads):
+        pin, get = solvers._one_blas_thread, solvers._one_blas_thread.switch[0]
+        entered = [threading.Event(), threading.Event()]
+        leave = [threading.Event(), threading.Event()]
+
+        def hold(k):
+            with pin:
+                entered[k].set()
+                leave[k].wait(30)
+
+        holders = [threading.Thread(target=hold, args=(k,)) for k in (0, 1)]
+        seen = []
+        try:
+            for k in (0, 1):
+                holders[k].start()
+                assert entered[k].wait(30)
+                seen.append(get())
+            for k in (0, 1):
+                leave[k].set()
+                holders[k].join(30)
+                seen.append(get())
+        finally:
+            for k in (0, 1):
+                leave[k].set()
+        # the first to enter switches; the count comes back only when the last leaves
+        assert seen == [1, 1, 1, caller_threads]
+
+    def test_a_library_without_the_switch_gives_a_no_op(self, caller_threads):
+        # one half of a pair is no switch
+        pin = solvers._OneBlasThread(types.SimpleNamespace(openblas_get_num_threads=lambda: 1))
+        assert pin.switch is None
+        with pin:
+            assert solvers._one_blas_thread.switch[0]() == caller_threads
