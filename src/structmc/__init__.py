@@ -8,10 +8,9 @@ generation and a benchmark harness that sweeps zero/nonzero sampling rates
 and reports error ratios against the plain nuclear-norm baseline.
 """
 
-from . import harness, matrix, metrics, prox, solvers, synth
+from . import harness, matrix, prox, solvers, synth
 from .harness import *  # noqa: F403
 from .matrix import *  # noqa: F403
-from .metrics import *  # noqa: F403
 from .prox import *  # noqa: F403
 from .solvers import *  # noqa: F403
 from .synth import *  # noqa: F403
@@ -19,4 +18,4 @@ from .synth import *  # noqa: F403
 __version__ = "0.1.0"
 
 __all__ = ["__version__", *matrix.__all__, *prox.__all__, *solvers.__all__, *synth.__all__,
-           *metrics.__all__, *harness.__all__]
+           *harness.__all__]

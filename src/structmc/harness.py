@@ -15,6 +15,10 @@ cold.  A warm start stops at a different point within the solver tolerance,
 so an error can move by about ``_exact_tol``, and between alphas whose
 errors are that close the pick can change.
 
+A trial's ratio is the best regularized error over the baseline's, except
+that it is NaN when both errors are at or below ``_exact_tol`` and +inf when
+only the baseline's is (:func:`ratio_from_errors`).
+
 Seed schedule: every draw is keyed by
 ``(base_seed, rate_zero, rate_nonzero, trial, purpose, attempt)`` folded
 through :func:`structmc.synth.derive_seed`, with rates keyed by their
@@ -34,7 +38,6 @@ import numpy as np
 
 from .errors import InvalidSamplingError
 from .matrix import as_matrix, frobenius_norm
-from .metrics import ratio_from_errors
 from .solvers import CompletionProblem, SolverConfig, _one_blas_thread, _tolerances, solve
 from .synth import (
     GeneratorSpec,
@@ -55,11 +58,13 @@ __all__ = [
     "run_cell",
     "run_grid",
     "run_real_matrix",
+    "ratio_from_errors",
 ]
 
 log = logging.getLogger(__name__)
 
 _MAX_REDRAWS = 8
+_EXACT_FLOOR = 1e-12  # an error at or below it is exact at any solver scale
 
 OUTCOME_OK = "ok"
 OUTCOME_BOTH_EXACT = "both-exact"
@@ -160,7 +165,17 @@ class TrialRecord:
 
 def _exact_tol(solver_cfg: SolverConfig, shape) -> float:
     # "both exact" means exact at the solver's own convergence scale
-    return max(1e-12, _tolerances(solver_cfg, shape)[0])
+    return max(_EXACT_FLOOR, _tolerances(solver_cfg, shape)[0])
+
+
+def ratio_from_errors(err_reg: float, err_nnm: float, exact_tol: float = _EXACT_FLOOR) -> float:
+    """``err_reg / err_nnm``, unless ``err_nnm <= exact_tol``: then NaN if ``err_reg``
+    is too (both exact; averages exclude and count it), else +inf."""
+    if err_nnm > exact_tol:
+        return err_reg / err_nnm
+    if err_reg <= exact_tol:
+        return math.nan
+    return math.inf
 
 
 @_one_blas_thread

@@ -1,4 +1,5 @@
-"""Dense matrices, observation masks, and the norms used throughout.
+"""Dense matrices, observation masks, the norms used throughout, and the
+relative error and incoherence diagnostics built on them.
 
 Matrices are plain float64 numpy arrays; :func:`as_matrix` is the validating
 constructor (finite entries, positive dims) and freezes the result read-only
@@ -6,6 +7,8 @@ so validated payloads can be shared across threads without copies.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,9 +19,13 @@ __all__ = [
     "ObservationMask",
     "project",
     "nuclear_norm",
+    "incoherence",
     "frobenius_norm",
+    "relative_error",
     "entrywise_l1",
 ]
+
+_INCOHERENCE_RANK_CUTOFF = 1e-10  # relative to sigma_max, in incoherence's rank-r SVD
 
 
 def as_matrix(values) -> np.ndarray:
@@ -112,9 +119,54 @@ def nuclear_norm(m: np.ndarray) -> float:
     return float(s.sum())
 
 
+class IncoherenceStats(NamedTuple):
+    mu_row: float
+    mu_col: float
+    mu_uv: float
+    rank: int
+
+
+def incoherence(m: np.ndarray) -> IncoherenceStats:
+    """Smallest mu satisfying each standard incoherence condition of ``m``.
+
+    From the rank-r SVD (numerical rank at ``_INCOHERENCE_RANK_CUTOFF * sigma_max``):
+
+    * mu_row = (n1/r) * max_i ||U^T e_i||^2
+    * mu_col = (n2/r) * max_i ||V^T e_i||^2
+    * mu_uv  = (n1*n2/r) * ||U V^T||_inf^2
+
+    All three are >= 1 for any nonzero matrix.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if not np.any(m):
+        raise ValueError("incoherence is undefined for the zero matrix")
+    try:
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed while computing incoherence: {exc}") from exc
+    r = int(np.sum(s > _INCOHERENCE_RANK_CUTOFF * s[0]))
+    u = u[:, :r]
+    vt = vt[:r, :]
+    n1, n2 = m.shape
+    mu_row = n1 / r * float(np.max(np.sum(u**2, axis=1)))
+    mu_col = n2 / r * float(np.max(np.sum(vt**2, axis=0)))
+    mu_uv = n1 * n2 / r * float(np.max(np.abs(u @ vt))) ** 2
+    return IncoherenceStats(mu_row, mu_col, mu_uv, r)
+
+
 def frobenius_norm(m: np.ndarray) -> float:
     """sqrt of the sum of squared entries."""
     return float(np.linalg.norm(np.asarray(m, dtype=np.float64), "fro"))
+
+
+def relative_error(m_hat: np.ndarray, m_true: np.ndarray) -> float:
+    """||m_hat - m_true||_F / ||m_true||_F."""
+    m_hat = np.asarray(m_hat, dtype=np.float64)
+    m_true = np.asarray(m_true, dtype=np.float64)
+    denom = frobenius_norm(m_true)
+    if denom == 0.0:
+        raise ValueError("relative error is undefined for a zero ground truth")
+    return frobenius_norm(m_hat - m_true) / denom
 
 
 def entrywise_l1(m: np.ndarray) -> float:

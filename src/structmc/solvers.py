@@ -192,7 +192,8 @@ class CompletionProblem:
 
     ``alpha`` is required positive and finite for the regularized
     formulations and ignored otherwise; ``rho`` likewise for the noisy ones.
-    Only the masked entries of ``observed_values`` are meaningful.
+    Every entry of ``observed_values`` must be finite, but only the masked
+    ones are read.
     """
 
     observed_values: np.ndarray
@@ -261,7 +262,7 @@ class SolveResult:
     those (the next step went back to the plain point).  ``warm_svt_steps``
     of them thresholded from the warm singular subspace instead of calling
     the exact svt (0 below the size gate).  ``_state`` is the
-    loop's final (A, Z, U, penalty), from which a later solve may start.
+    loop's final (Z, U, penalty), from which a later solve may start.
     The scalar fields are the ones ``repr`` shows; the CLI writes exactly
     those into its diagnostics.
     """
@@ -454,7 +455,7 @@ def solve(
     the module docstring, and so is the Anderson acceleration.  For
     rpca-restricted the sparse component rides along on ``result.sparse``.
     ``_start``, a converged result of a problem with the same shape and data
-    term, starts the loop from that result's final (A, Z, U, penalty) instead
+    term, starts the loop from that result's final (Z, U, penalty) instead
     (a warm start, with an empty Anderson history); a ``_start`` that did
     not converge is ignored.  A numerical failure returns its step's start.
     """
@@ -476,7 +477,7 @@ def solve(
 
     x_step, z_step = _prox_pair(problem, y, threshold)
     if _start is not None and _start.status == CONVERGED:
-        _, z, u, pen = _start._state
+        z, u, pen = _start._state
     else:
         z, u, pen = y, np.zeros_like(y), cfg.admm_penalty
     ptol, dtol = _tolerances(cfg, problem.shape)
@@ -550,7 +551,7 @@ def solve(
     low_rank, entrywise = (z, a) if fit == "quad" else (a, z)
     completed = entrywise if fit == "exact" else low_rank
     sparse = y - entrywise if fit == "l1" else None
-    return _result(problem, completed, status, it, rnorm, snorm, sparse, (a, z, u, pen),
+    return _result(problem, completed, status, it, rnorm, snorm, sparse, (z, u, pen),
                    penalty_changes=changes, accelerated_steps=accelerated,
                    rejected_steps=rejected, warm_svt_steps=warm_steps)
 

@@ -1,9 +1,13 @@
 import dataclasses
 import logging
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from structmc import (
     CompletionProblem,
@@ -310,6 +314,81 @@ class TestRunGrid:
         a = run_grid(grid)
         b = run_grid(grid)
         assert repr(a.records) == repr(b.records)
+
+
+def _bits(value):
+    """A record field with every float replaced by its IEEE-754 bytes."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _by_key(result):
+    """Each record's fields and outcome, bit for bit, keyed by (cell, trial)."""
+    return {
+        (r.cell, r.trial_index): (
+            *(_bits(getattr(r, f.name)) for f in dataclasses.fields(r)), r.outcome
+        )
+        for r in result.records
+    }
+
+
+# 0.0 and 1.0 give failed (0, 0) and both-exact (1, 1) cells, 0.9 some inf trials
+SWEEP_RATES = (0.0, 0.4, 0.9, 1.0)
+SWEEP_PROPERTY = settings(derandomize=True, max_examples=10, deadline=None)
+
+
+class TestSweepContract:
+    """A (cell, trial) record depends on the grid only through its own keys."""
+
+    @SWEEP_PROPERTY
+    @given(
+        n1=st.integers(8, 12),
+        n2=st.integers(8, 12),
+        zero_rates=st.lists(st.sampled_from(SWEEP_RATES), min_size=1, max_size=3, unique=True),
+        nonzero_rates=st.lists(st.sampled_from(SWEEP_RATES), min_size=1, max_size=3, unique=True),
+        trials=st.integers(1, 3),
+        alphas=st.lists(st.sampled_from(ALPHAS), min_size=1, max_size=3, unique=True),
+        rnd=st.randoms(use_true_random=False),
+    )
+    # cell (1.0, 0.9) of this grid has an inf trial, and (1.0, 1.0) both-exact ones
+    @example(n1=10, n2=10, zero_rates=[1.0, 0.0], nonzero_rates=[0.9, 1.0, 0.0], trials=2,
+             alphas=[0.1, 0.01], rnd=random.Random(0))
+    def test_records_do_not_depend_on_the_rest_of_the_grid(
+        self, n1, n2, zero_rates, nonzero_rates, trials, alphas, rnd
+    ):
+        full = small_grid(zero_rates=zero_rates, nonzero_rates=nonzero_rates, trials=trials,
+                          alphas=alphas, generator=GeneratorSpec(n1, n2, 2, 0.4, 0.6))
+        expected = _by_key(run_grid(full))
+        assert len(expected) == len(zero_rates) * len(nonzero_rates) * trials
+
+        def sub(rates):
+            return rnd.sample(rates, rnd.randint(1, len(rates)))
+
+        variants = {
+            "sub-grid": dataclasses.replace(
+                full, zero_rates=sub(zero_rates), nonzero_rates=sub(nonzero_rates),
+                trials=rnd.randint(1, trials),
+            ),
+            "reordered": dataclasses.replace(
+                full, zero_rates=rnd.sample(zero_rates, len(zero_rates)),
+                nonzero_rates=rnd.sample(nonzero_rates, len(nonzero_rates)),
+            ),
+            "more trials": dataclasses.replace(full, trials=trials + 1),
+        }
+        results = {name: run_grid(grid) for name, grid in variants.items()}
+        for name, result in results.items():
+            for key, fields in _by_key(result).items():
+                if key[1] < trials:
+                    assert fields == expected[key], (name, key)
+        # and the trials of a cell are distinct draws: no two inexact
+        # baselines of one cell end at the same error
+        more = results["more trials"].records
+        for cell in {r.cell for r in more}:
+            errs = [r.err_nnm for r in more if r.cell == cell and r.outcome == OUTCOME_OK]
+            assert len(set(errs)) == len(errs), cell
 
 
 def survey_matrix(rows=24, cols=10, seed=900):

@@ -627,7 +627,7 @@ class TestWarmStart:
         # each of at most two steps moves the returned block by about the
         # dual residual over the penalty
         tol = cfg.dual_tol * np.sqrt(m.shape[0] * m.shape[1])
-        pen = cold._state[3]
+        pen = cold._state[2]
         assert frobenius_norm(warm.completed - cold.completed) <= 2 * tol / pen
 
     @pytest.mark.parametrize("formulation,kwargs", ALL_MODES)
@@ -639,13 +639,13 @@ class TestWarmStart:
         start = solve(CompletionProblem(m, mask, formulation, **kwargs))
         assert start.status == CONVERGED
         assert start.warm_svt_steps > 0
-        arrays = [start.completed, start.sparse, *start._state[:3]]
+        arrays = [start.completed, start.sparse, *start._state[:2]]
         before = [None if a is None else a.copy() for a in arrays]
-        pen = start._state[3]
+        pen = start._state[2]
         smaller = {k: v / 10 if k == "alpha" else v for k, v in kwargs.items()}
         res = solve(CompletionProblem(m, mask, formulation, **smaller), _start=start)
         assert res.status == CONVERGED
-        assert start._state[3] == pen
+        assert start._state[2] == pen
         for a, b in zip(arrays, before):
             if b is None:
                 assert a is None
