@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .dataio import (
+    _SCHEMA,
     emit_mask_csv,
     emit_matrix_csv,
     fmt_float,
@@ -150,14 +151,7 @@ def cmd_complete(args) -> int:
 
 def cmd_generate(args) -> int:
     try:
-        spec = GeneratorSpec(
-            n1=args.rows,
-            n2=args.cols,
-            rank=args.rank,
-            density_left=args.density_left,
-            density_right=args.density_right,
-            seed=args.seed,
-        )
+        spec = GeneratorSpec(*(getattr(args, k) for k in _SCHEMA["generator"]), seed=args.seed)
         sampling = SamplingSpec(args.rate_zero, args.rate_nonzero, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -170,14 +164,7 @@ def cmd_generate(args) -> int:
     emit_matrix_csv(args.matrix_out, matrix)
     emit_mask_csv(args.mask_out, mask)
     manifest = {
-        "rows": args.rows,
-        "cols": args.cols,
-        "rank": args.rank,
-        "density_left": args.density_left,
-        "density_right": args.density_right,
-        "seed": args.seed,
-        "rate_zero": args.rate_zero,
-        "rate_nonzero": args.rate_nonzero,
+        **{k: getattr(args, k) for k in (*_SCHEMA["generator"], "seed", "rate_zero", "rate_nonzero")},
         "observed": mask.size,
         "matrix_file": os.path.basename(args.matrix_out),
         "mask_file": os.path.basename(args.mask_out),
@@ -281,11 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate = sub.add_parser(
         "generate", help="draw a sparse-factor low-rank matrix and a structured mask"
     )
-    p_generate.add_argument("--rows", type=int, required=True)
-    p_generate.add_argument("--cols", type=int, required=True)
-    p_generate.add_argument("--rank", type=int, required=True)
-    p_generate.add_argument("--density-left", type=float, required=True)
-    p_generate.add_argument("--density-right", type=float, required=True)
+    for key, (conv, _) in _SCHEMA["generator"].items():  # a config's [generator] keys
+        p_generate.add_argument("--" + key.replace("_", "-"), type=conv, required=True)
     p_generate.add_argument("--seed", type=int, default=0)
     p_generate.add_argument("--rate-zero", type=float, required=True,
                             help="fraction of zero entries observed")

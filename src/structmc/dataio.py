@@ -259,7 +259,7 @@ _SCHEMA = {
         "base_seed": (int, MISSING),
         "noise_sigma": (float, 0.0),
     },
-    # in GeneratorSpec's field order
+    # in GeneratorSpec's field order; also `structmc generate`'s flags and manifest keys
     "generator": {"rows": (int, MISSING), "cols": (int, MISSING), "rank": (int, MISSING),
                   "density_left": (float, MISSING), "density_right": (float, MISSING)},
     "real": {"matrix": (str, MISSING), "row_subsample": (int, None)},

@@ -274,6 +274,33 @@ class TestComplete:
         diag = json.loads((tmp_path / "o.csv.diag.json").read_text())
         assert diag["status"] == "numerical-failure"
 
+    def test_finalization_failure_writes_null_objective(self, tmp_path, capsys, monkeypatch):
+        # the loop's svt at 12x10 runs on the Gram eigh, so only the objective's
+        # and the rank's SVDs after it raise
+        src = tmp_path / "m.csv"
+        src.write_text("".join(
+            ",".join("" if (3 * i + j) % 4 == 0 else str((i % 3 + 1) * (j % 4 + 1) + i % 2 * j)
+                     for j in range(10)) + "\n"
+            for i in range(12)
+        ))
+        out = tmp_path / "o.csv"
+        argv = ("complete", "--input", str(src), "--infer-mask", "--mode", "nnm-exact")
+        assert run_cli(*argv, "--output", str(out)) == 0
+        good = json.loads((tmp_path / "o.csv.diag.json").read_text())
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        assert run_cli(*argv, "--output", str(out)) == 4
+        assert capsys.readouterr().err == f"numerical failure after {good['iterations']} iterations\n"
+        diag = json.loads((tmp_path / "o.csv.diag.json").read_text())
+        assert diag["status"] == "numerical-failure"
+        assert diag["objective"] is None
+        assert diag["rank_estimate"] == -1
+        assert diag["iterations"] == good["iterations"] > 1
+
     def test_iteration_cap_is_a_warning(self, tmp_path, capsys):
         src = tmp_path / "m.csv"
         src.write_text("1,1\n1,\n")
@@ -332,12 +359,12 @@ class TestGenerate:
         )
         assert code == 0
         manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
-        assert manifest["rows"] == 30
-        assert manifest["cols"] == 30
-        assert manifest["rank"] == 2
-        assert manifest["density_left"] == 0.3
-        assert manifest["density_right"] == 0.5
-        assert manifest["seed"] == 4
+        assert manifest == {
+            "rows": 30, "cols": 30, "rank": 2, "density_left": 0.3, "density_right": 0.5,
+            "seed": 4, "rate_zero": 0.2, "rate_nonzero": 0.7,
+            "observed": 275, "matrix_file": "m.csv", "mask_file": "k.csv",
+            "version": structmc.__version__,
+        }
 
     def test_rank_out_of_range_is_usage_error(self, tmp_path, capsys):
         code = run_cli(

@@ -340,6 +340,37 @@ SWEEP_RATES = (0.0, 0.4, 0.9, 1.0)
 SWEEP_PROPERTY = settings(derandomize=True, max_examples=10, deadline=None)
 
 
+def _assert_records_keyed_by_cell_and_trial(full, run, rnd):
+    """Each (cell, trial) record of ``full`` is the same, bit for bit, in three variants.
+
+    The variants are a sub-grid, the grid with its rates reordered and the
+    grid with one more trial; ``run`` runs a grid.  Returns their results.
+    """
+    expected = _by_key(run(full))
+    assert len(expected) == len(full.zero_rates) * len(full.nonzero_rates) * full.trials
+
+    def sub(rates):
+        return rnd.sample(rates, rnd.randint(1, len(rates)))
+
+    variants = {
+        "sub-grid": dataclasses.replace(
+            full, zero_rates=sub(full.zero_rates), nonzero_rates=sub(full.nonzero_rates),
+            trials=rnd.randint(1, full.trials),
+        ),
+        "reordered": dataclasses.replace(
+            full, zero_rates=rnd.sample(full.zero_rates, len(full.zero_rates)),
+            nonzero_rates=rnd.sample(full.nonzero_rates, len(full.nonzero_rates)),
+        ),
+        "more trials": dataclasses.replace(full, trials=full.trials + 1),
+    }
+    results = {name: run(grid) for name, grid in variants.items()}
+    for name, result in results.items():
+        for key, fields in _by_key(result).items():
+            if key[1] < full.trials:
+                assert fields == expected[key], (name, key)
+    return results
+
+
 class TestSweepContract:
     """A (cell, trial) record depends on the grid only through its own keys."""
 
@@ -361,28 +392,7 @@ class TestSweepContract:
     ):
         full = small_grid(zero_rates=zero_rates, nonzero_rates=nonzero_rates, trials=trials,
                           alphas=alphas, generator=GeneratorSpec(n1, n2, 2, 0.4, 0.6))
-        expected = _by_key(run_grid(full))
-        assert len(expected) == len(zero_rates) * len(nonzero_rates) * trials
-
-        def sub(rates):
-            return rnd.sample(rates, rnd.randint(1, len(rates)))
-
-        variants = {
-            "sub-grid": dataclasses.replace(
-                full, zero_rates=sub(zero_rates), nonzero_rates=sub(nonzero_rates),
-                trials=rnd.randint(1, trials),
-            ),
-            "reordered": dataclasses.replace(
-                full, zero_rates=rnd.sample(zero_rates, len(zero_rates)),
-                nonzero_rates=rnd.sample(nonzero_rates, len(nonzero_rates)),
-            ),
-            "more trials": dataclasses.replace(full, trials=trials + 1),
-        }
-        results = {name: run_grid(grid) for name, grid in variants.items()}
-        for name, result in results.items():
-            for key, fields in _by_key(result).items():
-                if key[1] < trials:
-                    assert fields == expected[key], (name, key)
+        results = _assert_records_keyed_by_cell_and_trial(full, run_grid, rnd)
         # and the trials of a cell are distinct draws: no two inexact
         # baselines of one cell end at the same error
         more = results["more trials"].records
@@ -408,6 +418,46 @@ def small_sweep(**overrides):
     )
     params.update(overrides)
     return RealSweep(**params)
+
+
+@st.composite
+def real_truth_shapes(draw):
+    """(rows, cols, row_subsample): a survey truth's size, and None or fewer rows than it has."""
+    rows = draw(st.integers(8, 14))
+    return rows, draw(st.integers(6, 10)), draw(st.none() | st.integers(4, rows - 1))
+
+
+class TestRealSweepContract:
+    """A real sweep's (cell, trial) record depends on the sweep only through its own keys."""
+
+    @SWEEP_PROPERTY
+    @given(
+        shape=real_truth_shapes(),
+        noise_sigma=st.sampled_from((0.0, 0.1)),
+        zero_rates=st.lists(st.sampled_from(SWEEP_RATES), min_size=1, max_size=3, unique=True),
+        nonzero_rates=st.lists(st.sampled_from(SWEEP_RATES), min_size=1, max_size=3, unique=True),
+        trials=st.integers(1, 3),
+        alphas=st.lists(st.sampled_from(ALPHAS), min_size=1, max_size=3, unique=True),
+        rnd=st.randoms(use_true_random=False),
+    )
+    # a noisy, row-subsampled sweep of two trials over six cells
+    @example(shape=(12, 8, 9), noise_sigma=0.1, zero_rates=[0.4, 1.0],
+             nonzero_rates=[0.9, 0.4, 0.0], trials=2, alphas=[0.1, 0.01], rnd=random.Random(0))
+    def test_records_do_not_depend_on_the_rest_of_the_sweep(
+        self, shape, noise_sigma, zero_rates, nonzero_rates, trials, alphas, rnd
+    ):
+        rows, cols, row_subsample = shape
+        m = survey_matrix(rows, cols)
+        full = small_sweep(zero_rates=zero_rates, nonzero_rates=nonzero_rates, trials=trials,
+                           alphas=alphas, noise_sigma=noise_sigma, row_subsample=row_subsample)
+        _assert_records_keyed_by_cell_and_trial(full, lambda s: run_real_matrix(m, s), rnd)
+
+    def test_workers_do_not_change_records(self):
+        # the pool's one example, with a row subsample and noise
+        m = survey_matrix(12, 8)
+        sweep = small_sweep(zero_rates=(0.4, 1.0), nonzero_rates=(0.9, 0.4), trials=2,
+                            alphas=ALPHAS[:2], noise_sigma=0.1, row_subsample=9)
+        assert _by_key(run_real_matrix(m, sweep, workers=2)) == _by_key(run_real_matrix(m, sweep))
 
 
 class TestRunRealMatrix:

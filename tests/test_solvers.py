@@ -448,6 +448,24 @@ class TestSolverContracts:
                     # the first svt raises before any A step: the start point is returned
                     assert res.sparse.shape == m.shape
 
+    def test_finalization_failure_reported_as_status(self, monkeypatch):
+        # the loop's svt at 12x10 runs on the Gram eigh, so only the objective's
+        # and the rank's SVDs after it raise: the converged iterate is kept
+        m, mask = _random_problem(26, shape=(12, 10))
+        p = CompletionProblem(m, mask, "nnm-exact")
+        good = solve(p)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        res = solve(p)
+        assert res.status == "numerical-failure"
+        assert math.isnan(res.objective)
+        assert res.rank_estimate == -1
+        assert res.iterations == good.iterations > 1
+        np.testing.assert_array_equal(res.completed, good.completed)
+
 
 class TestAnderson:
     """Safeguarded Anderson acceleration of the ADMM loop."""
